@@ -109,7 +109,6 @@ class RunConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    deterministic_reduction: bool = True
     spatial_filters: int = 16
     primary_kernel_size: int = 9
     primary_stride: int = 2
@@ -123,21 +122,12 @@ class RunConfig:
     palette: str = ""
 
     def architecture(self, channels: int, num_classes: int) -> Architecture:
-        return Architecture(
-            channels=channels,
-            num_classes=num_classes,
-            patch_size=self.patch_size,
-            spatial_filters=self.spatial_filters,
-            primary_kernel_size=self.primary_kernel_size,
-            primary_stride=self.primary_stride,
-            capsule_arrays=self.capsule_arrays,
-            capsule_dim=self.capsule_dim,
-            window_size=self.window_size,
-            window_stride=self.window_stride,
-            window_count=self.window_count,
-            window_capsule_dim=self.window_capsule_dim,
-            class_capsule_dim=self.class_capsule_dim,
-        )
+        shape = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(Architecture)
+            if f.name not in ("channels", "num_classes")
+        }
+        return Architecture(channels=channels, num_classes=num_classes, **shape)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -150,7 +140,6 @@ class RunConfig:
             adam_beta2=self.adam_beta2,
             adam_eps=self.adam_eps,
             seed=self.seed,
-            deterministic_reduction=self.deterministic_reduction,
         )
 
 
@@ -296,6 +285,17 @@ def _prepared_cube(cube: HsiCube, whiten: bool, epsilon: float) -> HsiCube:
     return apply_whitening(cube, fit_whitening(cube, epsilon))
 
 
+def _load_model_and_cube(args: argparse.Namespace) -> tuple[ModelParams, HsiCube]:
+    """The checkpoint's parameters and the model's view of the cube."""
+    params, _, _ = load_checkpoint(args.checkpoint)
+    cube = load_cube(args.cube)
+    if params.arch.channels != cube.channels:
+        raise ValueError(
+            f"model expects {params.arch.channels} channels, cube has {cube.channels}"
+        )
+    return params, _prepared_cube(cube, not args.no_whiten, args.whiten_epsilon)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -379,13 +379,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    params, _, _ = load_checkpoint(args.checkpoint)
-    cube = load_cube(args.cube)
-    if params.arch.channels != cube.channels:
-        raise ValueError(
-            f"model expects {params.arch.channels} channels, cube has {cube.channels}"
-        )
-    prepared = _prepared_cube(cube, not args.no_whiten, args.whiten_epsilon)
+    params, prepared = _load_model_and_cube(args)
     split = stratified_split(
         prepared, (args.train_fraction, args.val_fraction), args.seed
     )
@@ -428,13 +422,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_render_map(args: argparse.Namespace) -> int:
-    params, _, _ = load_checkpoint(args.checkpoint)
-    cube = load_cube(args.cube)
-    if params.arch.channels != cube.channels:
-        raise ValueError(
-            f"model expects {params.arch.channels} channels, cube has {cube.channels}"
-        )
-    prepared = _prepared_cube(cube, not args.no_whiten, args.whiten_epsilon)
+    params, prepared = _load_model_and_cube(args)
     palette = load_palette(args.palette) if args.palette else DEFAULT_PALETTE
     ids = classification_map(
         params,
@@ -460,6 +448,15 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route that to exit code 1
     def error(self, message):  # noqa: D102
         raise _UsageError(message)
+
+
+def _add_model_and_cube_args(p: argparse.ArgumentParser) -> None:
+    """Arguments shared by the subcommands that run a checkpoint on a cube."""
+    p.add_argument("checkpoint")
+    p.add_argument("cube")
+    p.add_argument("--routing-iters", type=int, default=3)
+    p.add_argument("--no-whiten", action="store_true")
+    p.add_argument("--whiten-epsilon", type=float, default=1e-5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,15 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a cube subset")
-    p.add_argument("checkpoint")
-    p.add_argument("cube")
+    _add_model_and_cube_args(p)
     p.add_argument("--subset", choices=("train", "val", "test"), default="test")
     p.add_argument("--train-fraction", type=float, default=0.2)
     p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--routing-iters", type=int, default=3)
-    p.add_argument("--no-whiten", action="store_true")
-    p.add_argument("--whiten-epsilon", type=float, default=1e-5)
     p.add_argument("-o", "--output", default="")
     p.set_defaults(func=cmd_eval)
 
@@ -513,15 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("render-map", help="render a classification map as PPM")
-    p.add_argument("checkpoint")
-    p.add_argument("cube")
+    _add_model_and_cube_args(p)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--labeled-only", action="store_true")
     p.add_argument("--palette", default="")
-    p.add_argument("--routing-iters", type=int, default=3)
     p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--no-whiten", action="store_true")
-    p.add_argument("--whiten-epsilon", type=float, default=1e-5)
     p.set_defaults(func=cmd_render_map)
 
     return parser

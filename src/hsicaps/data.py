@@ -285,16 +285,7 @@ def extract_patch(cube: HsiCube, row: int, col: int, size: int) -> Patch:
     ``size`` must be odd so the window has a center; the center itself must be
     inside the cube.
     """
-    if size % 2 != 1 or size < 1:
-        raise ValueError(f"patch size must be odd and positive, got {size}")
-    if not (0 <= row < cube.height and 0 <= col < cube.width):
-        raise ValueError(
-            f"center ({row}, {col}) outside cube {cube.height} x {cube.width}"
-        )
-    half = size // 2
-    rows = reflect_index(np.arange(row - half, row + half + 1), cube.height)
-    cols = reflect_index(np.arange(col - half, col + half + 1), cube.width)
-    data = cube.values[np.ix_(rows, cols)].copy()
+    data = extract_patches(cube, np.array([[row, col]]), size)[0]
     return Patch((row, col), data, int(cube.labels[row, col]))
 
 

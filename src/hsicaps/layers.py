@@ -11,6 +11,10 @@ The backward pass is hand-derived and exact: routing iterations are unrolled
 and differentiated through, with the initial uniform logits treated as
 constants.  Capsule tensors follow the (positions, arrays, dim) axis
 convention throughout; class ids are 1-based.
+
+Each layer is written once, as a private batched (forward, backward) pair
+that ``forward_batch`` and ``backward_batch`` compose; the single-sample
+layer functions are thin adapters over the batched forwards.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import conv1d_output_length, conv1d_valid, relu, relu_grad
+from .numerics import conv1d_output_length, relu, relu_grad
 
 __all__ = [
     "Architecture",
@@ -37,8 +41,6 @@ __all__ = [
     "forward_batch",
     "init_params",
     "load_checkpoint",
-    "model_backward",
-    "model_forward",
     "param_count",
     "predict_classes",
     "primary_caps_forward",
@@ -322,100 +324,95 @@ def predict_classes(activations: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-sample layer operations
+# batched layer pairs
+#
+# Every array carries a leading sample axis.  A forward also returns what its
+# backward needs; a backward returns the gradients wrt the layer input (the
+# first layer excepted) and its parameters.
 
 
-def spatial_conv_forward(
-    patch: np.ndarray, kernels: np.ndarray, bias: np.ndarray
-) -> np.ndarray:
-    """Apply each shared spatial filter to every channel of one patch.
-
-    ``patch`` is (size, size, channels), ``kernels`` is (filters, size, size),
-    ``bias`` is (filters,).  Returns (channels, filters) ReLU activations
-    where out[c, k] is the filter-k response on channel c's spatial plane.
-    """
-    patch = np.asarray(patch, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if patch.ndim != 3:
-        raise ValueError(f"patch must be (size, size, channels), got {patch.shape}")
-    if kernels.ndim != 3 or kernels.shape[1:] != patch.shape[:2]:
-        raise ValueError(
-            f"kernels {kernels.shape} must match the patch plane {patch.shape[:2]}"
-        )
-    if bias.shape != (kernels.shape[0],):
-        raise ValueError(f"bias must have shape ({kernels.shape[0]},), got {bias.shape}")
-    return relu(np.einsum("ijc,kij->ck", patch, kernels, optimize=True) + bias)
+def _fold_windows(grad_windows: np.ndarray, length: int, stride: int) -> np.ndarray:
+    """Adjoint of ``sliding_window_view(x, k, axis=1)[:, ::stride]``: scatter-add
+    (B, windows, ..., k) window gradients back onto (B, length, ...)."""
+    batch, count, *inner, kernel = grad_windows.shape
+    out = np.zeros((batch, length, *inner))
+    span = (count - 1) * stride + 1
+    for j in range(kernel):
+        out[:, j : j + span : stride] += grad_windows[..., j]
+    return out
 
 
-def primary_caps_forward(
+def _spatial_forward(patches: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
+    """(B, size, size, channels) -> (pre-activations, ReLU outputs), each
+    (B, channels, filters)."""
+    pre = np.einsum("bijc,kij->bck", patches, kernels, optimize=True) + bias
+    return pre, relu(pre)
+
+
+def _spatial_backward(grad_out: np.ndarray, pre: np.ndarray, patches: np.ndarray):
+    """Gradients wrt (kernels, bias); the patches are data, not parameters."""
+    grad_pre = relu_grad(pre, grad_out)
+    grad_kernels = np.einsum("bck,bijc->kij", grad_pre, patches, optimize=True)
+    return grad_kernels, grad_pre.sum(axis=(0, 1))
+
+
+def _primary_forward(
     features: np.ndarray,
     kernels: np.ndarray,
     bias: np.ndarray,
     stride: int,
     capsule_arrays: int,
     capsule_dim: int,
-) -> np.ndarray:
-    """Strided 1D convolution along the spectral axis, regrouped into capsules.
-
-    ``features`` is (channels, in_maps); the convolution yields
-    (positions, arrays * dim) ReLU feature maps which are regrouped so capsule
-    (position, array) takes maps array*dim .. array*dim + dim - 1.  Returns
-    (positions, arrays, dim).
-    """
-    out = relu(conv1d_valid(features, kernels, bias, stride))
-    positions, out_maps = out.shape
-    if out_maps != capsule_arrays * capsule_dim:
-        raise ValueError(
-            f"{out_maps} feature maps cannot regroup into {capsule_arrays} arrays x "
-            f"{capsule_dim} dims"
-        )
-    return out.reshape(positions, capsule_arrays, capsule_dim)
+):
+    """(B, channels, in_maps) -> (windows (B, positions, in_maps, kernel),
+    pre-activations (B, positions, maps), capsules (B, positions, arrays, dim))."""
+    windows = sliding_window_view(features, kernels.shape[-1], axis=1)[:, ::stride]
+    pre = np.einsum("btkf,okf->bto", windows, kernels, optimize=True) + bias
+    capsules = relu(pre).reshape(*pre.shape[:2], capsule_arrays, capsule_dim)
+    return windows, pre, capsules
 
 
-def conv_caps_forward(
-    children: np.ndarray,
-    tensors: np.ndarray,
-    bias: np.ndarray,
+def _primary_backward(
+    grad_caps: np.ndarray,
+    windows: np.ndarray,
+    pre: np.ndarray,
+    kernels: np.ndarray,
     stride: int,
-) -> np.ndarray:
-    """Capsule convolution: slide a window of transformation tensors along the
-    position axis.
-
-    ``children`` is (positions, arrays, dim); ``tensors`` is (out_arrays,
-    out_dim, window, arrays, dim) and is shared across output positions;
-    ``bias`` is (out_arrays, out_dim).  Output position t contracts the
-    children at positions t*stride .. t*stride + window - 1 and squashes the
-    result: returns (out_positions, out_arrays, out_dim).
-    """
-    children = np.asarray(children, dtype=np.float64)
-    tensors = np.asarray(tensors, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if children.ndim != 3:
-        raise ValueError(f"children must be (positions, arrays, dim), got {children.shape}")
-    out_arrays, out_dim, window, arrays, dim = tensors.shape
-    if children.shape[1:] != (arrays, dim):
-        raise ValueError(
-            f"tensors expect children of (arrays, dim) = {(arrays, dim)}, "
-            f"got {children.shape[1:]}"
-        )
-    if bias.shape != (out_arrays, out_dim):
-        raise ValueError(f"bias must have shape {(out_arrays, out_dim)}, got {bias.shape}")
-    conv1d_output_length(children.shape[0], window, stride)
-    windows = sliding_window_view(children, window, axis=0)[::stride]
-    pre = np.einsum("tidj,qmjid->tqm", windows, tensors, optimize=True) + bias
-    return squash(pre, axis=-1)
+    length: int,
+):
+    """Gradients wrt (features of spectral ``length``, kernels, bias)."""
+    grad_pre = relu_grad(pre, grad_caps.reshape(pre.shape))
+    grad_kernels = np.einsum("bto,btkf->okf", grad_pre, windows, optimize=True)
+    grad_windows = np.einsum("bto,okf->btkf", grad_pre, kernels, optimize=True)
+    grad_features = _fold_windows(grad_windows, length, stride)
+    return grad_features, grad_kernels, grad_pre.sum(axis=(0, 1))
 
 
-@dataclass
-class RoutingState:
-    """Final routing coefficients: ``logits`` and ``coupling`` are
-    (child_arrays, child_positions, classes); ``coupling`` is the softmax that
-    produced the returned activations."""
+def _window_forward(
+    children: np.ndarray, tensors: np.ndarray, bias: np.ndarray, stride: int
+):
+    """(B, positions, arrays, dim) -> (windows (B, out_positions, arrays, dim,
+    window), pre-activations and squashed capsules (B, out_positions,
+    out_arrays, out_dim))."""
+    windows = sliding_window_view(children, tensors.shape[2], axis=1)[:, ::stride]
+    pre = np.einsum("btidj,qmjid->btqm", windows, tensors, optimize=True) + bias
+    return windows, pre, squash(pre, axis=-1)
 
-    logits: np.ndarray
-    coupling: np.ndarray
-    iterations: int
+
+def _window_backward(
+    grad_out: np.ndarray,
+    windows: np.ndarray,
+    pre: np.ndarray,
+    tensors: np.ndarray,
+    stride: int,
+    length: int,
+):
+    """Gradients wrt (children at ``length`` positions, tensors, bias)."""
+    grad_pre = squash_backward(grad_out, pre)
+    grad_tensors = np.einsum("btqm,btidj->qmjid", grad_pre, windows, optimize=True)
+    grad_windows = np.einsum("btqm,qmjid->btidj", grad_pre, tensors, optimize=True)
+    grad_children = _fold_windows(grad_windows, length, stride)
+    return grad_children, grad_tensors, grad_pre.sum(axis=(0, 1))
 
 
 def _routing_softmax(logits: np.ndarray) -> np.ndarray:
@@ -493,6 +490,143 @@ def _routing_backward(
     return grad_predictions
 
 
+def _class_forward(
+    children: np.ndarray, matrices: np.ndarray, iterations: int, keep: bool
+):
+    """(B, positions, arrays, dim) -> (prediction vectors, the
+    :func:`_routing_forward` result); child (array i, position j) is
+    ``children[:, j, i]``."""
+    predictions = np.einsum("bjid,ijkmd->bijkm", children, matrices, optimize=True)
+    return predictions, _routing_forward(predictions, iterations, keep)
+
+
+def _class_backward(
+    grad_parents: np.ndarray,
+    children: np.ndarray,
+    predictions: np.ndarray,
+    routing: list,
+    matrices: np.ndarray,
+):
+    """Gradients wrt (children, matrices) through the unrolled routing."""
+    grad_pred = _routing_backward(predictions, routing, grad_parents)
+    grad_matrices = np.einsum("bijkm,bjid->ijkmd", grad_pred, children, optimize=True)
+    grad_children = np.einsum("bijkm,ijkmd->bjid", grad_pred, matrices, optimize=True)
+    return grad_children, grad_matrices
+
+
+# ---------------------------------------------------------------------------
+# single-sample layer operations
+
+
+def spatial_conv_forward(
+    patch: np.ndarray, kernels: np.ndarray, bias: np.ndarray
+) -> np.ndarray:
+    """Apply each shared spatial filter to every channel of one patch.
+
+    ``patch`` is (size, size, channels), ``kernels`` is (filters, size, size),
+    ``bias`` is (filters,).  Returns (channels, filters) ReLU activations
+    where out[c, k] is the filter-k response on channel c's spatial plane.
+    """
+    patch = np.asarray(patch, dtype=np.float64)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    if patch.ndim != 3:
+        raise ValueError(f"patch must be (size, size, channels), got {patch.shape}")
+    if kernels.ndim != 3 or kernels.shape[1:] != patch.shape[:2]:
+        raise ValueError(
+            f"kernels {kernels.shape} must match the patch plane {patch.shape[:2]}"
+        )
+    if bias.shape != (kernels.shape[0],):
+        raise ValueError(f"bias must have shape ({kernels.shape[0]},), got {bias.shape}")
+    return _spatial_forward(patch[None], kernels, bias)[1][0]
+
+
+def primary_caps_forward(
+    features: np.ndarray,
+    kernels: np.ndarray,
+    bias: np.ndarray,
+    stride: int,
+    capsule_arrays: int,
+    capsule_dim: int,
+) -> np.ndarray:
+    """Strided 1D convolution along the spectral axis, regrouped into capsules.
+
+    ``features`` is (channels, in_maps) and ``kernels`` is (maps, in_maps,
+    kernel_size); the valid-padding convolution yields (positions, maps) ReLU
+    feature maps, positions = floor((channels - kernel_size) / stride) + 1,
+    which are regrouped so capsule (position, array) takes maps
+    array*dim .. array*dim + dim - 1.  Returns (positions, arrays, dim).
+    """
+    features = np.asarray(features, dtype=np.float64)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError(f"features must be (channels, in_maps), got {features.shape}")
+    if kernels.ndim != 3:
+        raise ValueError(
+            f"kernels must be (maps, in_maps, kernel_size), got {kernels.shape}"
+        )
+    out_maps, in_maps, kernel_size = kernels.shape
+    if in_maps != features.shape[1]:
+        raise ValueError(
+            f"kernels expect {in_maps} input maps, features have {features.shape[1]}"
+        )
+    if bias.shape != (out_maps,):
+        raise ValueError(f"bias must have shape ({out_maps},), got {bias.shape}")
+    if out_maps != capsule_arrays * capsule_dim:
+        raise ValueError(
+            f"{out_maps} feature maps cannot regroup into {capsule_arrays} arrays x "
+            f"{capsule_dim} dims"
+        )
+    conv1d_output_length(features.shape[0], kernel_size, stride)
+    return _primary_forward(
+        features[None], kernels, bias, stride, capsule_arrays, capsule_dim
+    )[2][0]
+
+
+def conv_caps_forward(
+    children: np.ndarray,
+    tensors: np.ndarray,
+    bias: np.ndarray,
+    stride: int,
+) -> np.ndarray:
+    """Capsule convolution: slide a window of transformation tensors along the
+    position axis.
+
+    ``children`` is (positions, arrays, dim); ``tensors`` is (out_arrays,
+    out_dim, window, arrays, dim) and is shared across output positions;
+    ``bias`` is (out_arrays, out_dim).  Output position t contracts the
+    children at positions t*stride .. t*stride + window - 1 and squashes the
+    result: returns (out_positions, out_arrays, out_dim).
+    """
+    children = np.asarray(children, dtype=np.float64)
+    tensors = np.asarray(tensors, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    if children.ndim != 3:
+        raise ValueError(f"children must be (positions, arrays, dim), got {children.shape}")
+    out_arrays, out_dim, window, arrays, dim = tensors.shape
+    if children.shape[1:] != (arrays, dim):
+        raise ValueError(
+            f"tensors expect children of (arrays, dim) = {(arrays, dim)}, "
+            f"got {children.shape[1:]}"
+        )
+    if bias.shape != (out_arrays, out_dim):
+        raise ValueError(f"bias must have shape {(out_arrays, out_dim)}, got {bias.shape}")
+    conv1d_output_length(children.shape[0], window, stride)
+    return _window_forward(children[None], tensors, bias, stride)[2][0]
+
+
+@dataclass
+class RoutingState:
+    """Final routing coefficients: ``logits`` and ``coupling`` are
+    (child_arrays, child_positions, classes); ``coupling`` is the softmax that
+    produced the returned activations."""
+
+    logits: np.ndarray
+    coupling: np.ndarray
+    iterations: int
+
+
 def dynamic_routing(
     children: np.ndarray, matrices: np.ndarray, iterations: int
 ) -> tuple[np.ndarray, RoutingState]:
@@ -514,10 +648,9 @@ def dynamic_routing(
             f"matrices expect children of shape {(positions, arrays, dim)}, "
             f"got {children.shape}"
         )
-    predictions = np.einsum(
-        "bjid,ijkmd->bijkm", children[None], matrices, optimize=True
+    _, (parents, coupling, logits, _) = _class_forward(
+        children[None], matrices, iterations, False
     )
-    parents, coupling, logits, _ = _routing_forward(predictions, iterations, False)
     return parents[0], RoutingState(logits[0], coupling[0], iterations)
 
 
@@ -561,41 +694,22 @@ def forward_batch(
             f"got {patches.shape}"
         )
 
-    pre_spatial = (
-        np.einsum("bijc,kij->bck", patches, params.spatial_kernels, optimize=True)
-        + params.spatial_bias
+    pre_spatial, spatial_out = _spatial_forward(
+        patches, params.spatial_kernels, params.spatial_bias
     )
-    spatial_out = relu(pre_spatial)
-
-    # (B, positions, in_maps, kernel) windows of the spectral axis
-    spatial_windows = sliding_window_view(
-        spatial_out, arch.primary_kernel_size, axis=1
-    )[:, :: arch.primary_stride]
-    pre_primary = (
-        np.einsum("btkf,okf->bto", spatial_windows, params.primary_kernels, optimize=True)
-        + params.primary_bias
+    spatial_windows, pre_primary, primary_caps = _primary_forward(
+        spatial_out,
+        params.primary_kernels,
+        params.primary_bias,
+        arch.primary_stride,
+        arch.capsule_arrays,
+        arch.capsule_dim,
     )
-    primary_caps = relu(pre_primary).reshape(
-        len(patches), arch.primary_positions, arch.capsule_arrays, arch.capsule_dim
+    caps_windows, pre_window, window_caps = _window_forward(
+        primary_caps, params.window_tensors, params.window_bias, arch.window_stride
     )
-
-    # (B, positions, arrays, dim, window) windows of the capsule-position axis
-    caps_windows = sliding_window_view(primary_caps, arch.window_size, axis=1)[
-        :, :: arch.window_stride
-    ]
-    pre_window = (
-        np.einsum("btidj,qmjid->btqm", caps_windows, params.window_tensors, optimize=True)
-        + params.window_bias
-    )
-    window_caps = squash(pre_window, axis=-1)
-
-    # one prediction vector per child capsule and class; child (array i,
-    # position j) is window_caps[:, j, i]
-    predictions = np.einsum(
-        "bjid,ijkmd->bijkm", window_caps, params.class_matrices, optimize=True
-    )
-    parents, _, _, routing_cache = _routing_forward(
-        predictions, routing_iters, keep_cache
+    predictions, (parents, _, _, routing_cache) = _class_forward(
+        window_caps, params.class_matrices, routing_iters, keep_cache
     )
     if not np.isfinite(parents).all():
         raise FloatingPointError("non-finite activations in forward pass")
@@ -629,57 +743,32 @@ def backward_batch(
     arch = params.arch
     upstream = np.asarray(upstream, dtype=np.float64)
 
-    grad_predictions = _routing_backward(cache.predictions, cache.routing, upstream)
-    grad_class_matrices = np.einsum(
-        "bijkm,bjid->ijkmd", grad_predictions, cache.window_caps, optimize=True
+    grad_window_caps, grad_class_matrices = _class_backward(
+        upstream,
+        cache.window_caps,
+        cache.predictions,
+        cache.routing,
+        params.class_matrices,
     )
-    grad_window_caps = np.einsum(
-        "bijkm,ijkmd->bjid", grad_predictions, params.class_matrices, optimize=True
+    grad_primary_caps, grad_window_tensors, grad_window_bias = _window_backward(
+        grad_window_caps,
+        cache.caps_windows,
+        cache.pre_window,
+        params.window_tensors,
+        arch.window_stride,
+        arch.primary_positions,
     )
-
-    grad_pre_window = squash_backward(grad_window_caps, cache.pre_window)
-    grad_window_tensors = np.einsum(
-        "btqm,btidj->qmjid", grad_pre_window, cache.caps_windows, optimize=True
-    )
-    grad_window_bias = grad_pre_window.sum(axis=(0, 1))
-    grad_caps_windows = np.einsum(
-        "btqm,qmjid->btidj", grad_pre_window, params.window_tensors, optimize=True
-    )
-
-    batch = len(cache.patches)
-    grad_primary_caps = np.zeros(
-        (batch, arch.primary_positions, arch.capsule_arrays, arch.capsule_dim)
-    )
-    span = (arch.window_positions - 1) * arch.window_stride + 1
-    for j in range(arch.window_size):
-        grad_primary_caps[:, j : j + span : arch.window_stride] += grad_caps_windows[
-            ..., j
-        ]
-
-    grad_pre_primary = relu_grad(
+    grad_spatial_out, grad_primary_kernels, grad_primary_bias = _primary_backward(
+        grad_primary_caps,
+        cache.spatial_windows,
         cache.pre_primary,
-        grad_primary_caps.reshape(batch, arch.primary_positions, arch.primary_filters),
+        params.primary_kernels,
+        arch.primary_stride,
+        arch.channels,
     )
-    grad_primary_kernels = np.einsum(
-        "bto,btkf->okf", grad_pre_primary, cache.spatial_windows, optimize=True
+    grad_spatial_kernels, grad_spatial_bias = _spatial_backward(
+        grad_spatial_out, cache.pre_spatial, cache.patches
     )
-    grad_primary_bias = grad_pre_primary.sum(axis=(0, 1))
-    grad_spatial_windows = np.einsum(
-        "bto,okf->btkf", grad_pre_primary, params.primary_kernels, optimize=True
-    )
-
-    grad_spatial_out = np.zeros((batch, arch.channels, arch.spatial_filters))
-    span = (arch.primary_positions - 1) * arch.primary_stride + 1
-    for f in range(arch.primary_kernel_size):
-        grad_spatial_out[:, f : f + span : arch.primary_stride] += grad_spatial_windows[
-            ..., f
-        ]
-
-    grad_pre_spatial = relu_grad(cache.pre_spatial, grad_spatial_out)
-    grad_spatial_kernels = np.einsum(
-        "bck,bijc->kij", grad_pre_spatial, cache.patches, optimize=True
-    )
-    grad_spatial_bias = grad_pre_spatial.sum(axis=(0, 1))
 
     grads = {
         "spatial_kernels": grad_spatial_kernels,
@@ -694,28 +783,6 @@ def backward_batch(
         if not np.isfinite(grad).all():
             raise FloatingPointError(f"non-finite gradient for {name}")
     return grads
-
-
-def model_forward(
-    patch: np.ndarray, params: ModelParams, routing_iters: int = 3
-) -> np.ndarray:
-    """Class-capsule activations (classes, out_dim) for a single patch."""
-    activations, _ = forward_batch(params, np.asarray(patch)[None], routing_iters)
-    return activations[0]
-
-
-def model_backward(
-    patch: np.ndarray,
-    params: ModelParams,
-    routing_iters: int,
-    upstream: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Single-patch parameter gradients for an upstream dL/d(activations)."""
-    _, cache = forward_batch(
-        params, np.asarray(patch)[None], routing_iters, keep_cache=True
-    )
-    assert cache is not None
-    return backward_batch(params, cache, np.asarray(upstream, dtype=np.float64)[None])
 
 
 # ---------------------------------------------------------------------------

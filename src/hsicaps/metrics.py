@@ -150,15 +150,7 @@ class ConfusionMatrix:
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     def accumulate(self, true_class: int, predicted_class: int) -> None:
-        if not (
-            1 <= true_class <= self.num_classes
-            and 1 <= predicted_class <= self.num_classes
-        ):
-            raise ValueError(
-                f"class ids must be in [1, {self.num_classes}], "
-                f"got true={true_class}, predicted={predicted_class}"
-            )
-        self.counts[true_class - 1, predicted_class - 1] += 1
+        self.accumulate_many(np.array([true_class]), np.array([predicted_class]))
 
     def accumulate_many(
         self, true_classes: np.ndarray, predicted_classes: np.ndarray

@@ -1,9 +1,10 @@
 """Dense numerical primitives shared by every layer.
 
 Everything here is a pure function of float64 numpy arrays: the ReLU pair,
-valid-padding convolutions (nothing pads implicitly, so output lengths always
-follow ``floor((length - kernel) / stride) + 1``), and a central-difference
-gradient checker used to validate the hand-written backward passes.
+the output-length law of valid-padding convolutions (nothing pads
+implicitly, so output lengths always follow
+``floor((length - kernel) / stride) + 1``), and a central-difference gradient
+checker used to validate the hand-written backward passes.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GradCheckReport",
     "conv1d_output_length",
-    "conv1d_valid",
-    "conv2d_single_channel",
     "finite_difference_check",
     "relu",
     "relu_grad",
@@ -53,65 +51,6 @@ def conv1d_output_length(length: int, kernel_size: int, stride: int) -> int:
             f"signal length {length} is shorter than kernel size {kernel_size}"
         )
     return (length - kernel_size) // stride + 1
-
-
-def conv1d_valid(
-    signal: np.ndarray,
-    kernels: np.ndarray,
-    bias: np.ndarray,
-    stride: int = 1,
-) -> np.ndarray:
-    """Valid-padding 1D convolution over the leading axis of ``signal``.
-
-    Args:
-        signal: ``(length, in_channels)`` input sequence.
-        kernels: ``(out_channels, in_channels, kernel_size)`` filter bank.
-        bias: ``(out_channels,)`` offsets added at every output position.
-        stride: step between kernel placements, >= 1.
-
-    Returns:
-        ``(out_length, out_channels)`` array with
-        ``out_length = floor((length - kernel_size) / stride) + 1``.
-    """
-    signal = np.asarray(signal, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if signal.ndim != 2:
-        raise ValueError(f"signal must be (length, in_channels), got shape {signal.shape}")
-    if kernels.ndim != 3:
-        raise ValueError(
-            f"kernels must be (out_channels, in_channels, kernel_size), got shape {kernels.shape}"
-        )
-    length, in_channels = signal.shape
-    out_channels, kernel_in, kernel_size = kernels.shape
-    if kernel_in != in_channels:
-        raise ValueError(
-            f"kernels expect {kernel_in} input channels, signal has {in_channels}"
-        )
-    if bias.shape != (out_channels,):
-        raise ValueError(f"bias must have shape ({out_channels},), got {bias.shape}")
-    conv1d_output_length(length, kernel_size, stride)
-    windows = sliding_window_view(signal, kernel_size, axis=0)[::stride]
-    return np.einsum("lcf,ocf->lo", windows, kernels, optimize=True) + bias
-
-
-def conv2d_single_channel(
-    patch: np.ndarray, kernel: np.ndarray, bias: float
-) -> float:
-    """Full-overlap 2D filter response: ``sum(patch * kernel) + bias``.
-
-    ``patch`` and ``kernel`` must have identical 2D shapes; with a kernel the
-    size of the patch the valid output is a single scalar.
-    """
-    patch = np.asarray(patch, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if patch.ndim != 2:
-        raise ValueError(f"patch must be 2D, got shape {patch.shape}")
-    if patch.shape != kernel.shape:
-        raise ValueError(
-            f"patch shape {patch.shape} and kernel shape {kernel.shape} must match exactly"
-        )
-    return float(np.sum(patch * kernel) + bias)
 
 
 @dataclass

@@ -53,7 +53,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    deterministic_reduction: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1:

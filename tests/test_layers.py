@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hsicaps.cli import RunConfig
 from hsicaps.layers import (
+    _ARCH_STRUCT,
     ARCH_WIRE_FIELDS,
     MINIATURE_ARCHITECTURE,
     Architecture,
@@ -21,7 +23,6 @@ from hsicaps.layers import (
     forward_batch,
     init_params,
     load_checkpoint,
-    model_forward,
     param_count,
     predict_classes,
     primary_caps_forward,
@@ -103,6 +104,18 @@ class TestArchitecture:
         arch = Architecture(channels=64, num_classes=4)
         with pytest.raises(dataclasses.FrozenInstanceError):
             arch.channels = 100
+
+    def test_wire_order_covers_every_field(self):
+        names = [f.name for f in dataclasses.fields(Architecture)]
+        assert len(names) == 13
+        assert sorted(ARCH_WIRE_FIELDS) == sorted(names)
+        assert len(_ARCH_STRUCT.unpack(bytes(_ARCH_STRUCT.size))) == len(names)
+
+    def test_config_defaults_match(self):
+        config_defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        for f in dataclasses.fields(Architecture):
+            if f.name not in ("channels", "num_classes"):
+                assert config_defaults[f.name] == f.default, f.name
 
 
 class TestParamsAndInit:
@@ -319,6 +332,22 @@ class TestPrimaryCaps:
                 np.zeros((6, 2)), np.zeros((4, 2, 3)), np.zeros(4), 1, 3, 2
             )
 
+    def test_rejects_bad_shapes(self):
+        features = np.zeros((8, 2))
+        kernels = np.zeros((4, 2, 4))
+
+        def caps(features, kernels, bias, stride=1):
+            return primary_caps_forward(features, kernels, bias, stride, 2, 2)
+
+        with pytest.raises(ValueError):
+            caps(np.zeros((3, 2)), kernels, np.zeros(4))  # too short
+        with pytest.raises(ValueError):
+            caps(features, kernels, np.zeros(4), stride=0)  # bad stride
+        with pytest.raises(ValueError):
+            caps(features, np.zeros((4, 5, 4)), np.zeros(4))  # channels
+        with pytest.raises(ValueError):
+            caps(features, kernels, np.zeros(3))  # bias length
+
 
 class TestConvCaps:
     def test_matches_oracle(self):
@@ -484,9 +513,6 @@ class TestModelEngine:
             )
             acts, _ = dynamic_routing(window, params.class_matrices, 3)
             np.testing.assert_allclose(batch_acts[b], acts, atol=1e-12)
-        np.testing.assert_allclose(
-            model_forward(patches[0], params), batch_acts[0], atol=1e-15
-        )
 
     def test_shape_validation(self):
         params = miniature_params()

@@ -5,17 +5,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsicaps.layers import primary_caps_forward, spatial_conv_forward
 from hsicaps.metrics import margin_loss
 from hsicaps.numerics import (
     conv1d_output_length,
-    conv1d_valid,
-    conv2d_single_channel,
     finite_difference_check,
     relu,
     relu_grad,
 )
 
 from conftest import oracle_conv1d
+
+
+# The valid-padding convolutions exist only inside the layers, followed by a
+# ReLU.  Since relu(z) - relu(-z) = z, running a layer on the negated input
+# and bias as well recovers its pre-activation convolution exactly.
+
+
+def spectral_conv(signal, kernels, bias, stride):
+    """Spectral convolution of :func:`primary_caps_forward`, one capsule array
+    holding every output map: (length, in_maps) -> (out_length, maps)."""
+    maps = kernels.shape[0]
+
+    def forward(s, b):
+        return primary_caps_forward(s, kernels, b, stride, 1, maps)[:, 0]
+
+    return forward(signal, bias) - forward(-signal, -bias)
+
+
+def filter_response(patch, kernel, bias):
+    """One shared filter of :func:`spatial_conv_forward` on a one-channel
+    (size, size) patch: ``sum(patch * kernel) + bias``."""
+
+    def forward(p, b):
+        return spatial_conv_forward(p[..., None], kernel[None], np.array([b]))[0, 0]
+
+    return float(forward(patch, bias) - forward(-patch, -bias))
 
 
 class TestRelu:
@@ -40,6 +65,8 @@ class TestRelu:
 
 
 class TestConv1dValid:
+    """The output-length law and the primary layer's spectral convolution."""
+
     def test_output_length_law(self):
         assert conv1d_output_length(220, 9, 2) == 106
         assert conv1d_output_length(106, 9, 2) == 49
@@ -63,7 +90,7 @@ class TestConv1dValid:
         rng = np.random.default_rng(0)
         signal = rng.normal(size=(11, 1))
         kernels = np.ones((1, 1, 1))
-        out = conv1d_valid(signal, kernels, np.zeros(1), stride=1)
+        out = spectral_conv(signal, kernels, np.zeros(1), stride=1)
         np.testing.assert_allclose(out, signal)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -77,7 +104,7 @@ class TestConv1dValid:
         signal = rng.normal(size=(length, in_channels))
         kernels = rng.normal(size=(out_channels, in_channels, kernel))
         bias = rng.normal(size=out_channels)
-        got = conv1d_valid(signal, kernels, bias, stride)
+        got = spectral_conv(signal, kernels, bias, stride)
         want = oracle_conv1d(signal, kernels, bias, stride)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -87,28 +114,18 @@ class TestConv1dValid:
         y = rng.normal(size=(15, 2))
         kernels = rng.normal(size=(3, 2, 4))
         zero_bias = np.zeros(3)
-        left = conv1d_valid(2.5 * x - y, kernels, zero_bias, 2)
-        right = 2.5 * conv1d_valid(x, kernels, zero_bias, 2) - conv1d_valid(
+        left = spectral_conv(2.5 * x - y, kernels, zero_bias, 2)
+        right = 2.5 * spectral_conv(x, kernels, zero_bias, 2) - spectral_conv(
             y, kernels, zero_bias, 2
         )
         np.testing.assert_allclose(left, right, atol=1e-10)
 
-    def test_rejects_bad_shapes(self):
-        signal = np.zeros((8, 2))
-        kernels = np.zeros((3, 2, 4))
-        with pytest.raises(ValueError):
-            conv1d_valid(np.zeros((3, 2)), kernels, np.zeros(3), 1)  # too short
-        with pytest.raises(ValueError):
-            conv1d_valid(signal, kernels, np.zeros(3), 0)  # bad stride
-        with pytest.raises(ValueError):
-            conv1d_valid(signal, np.zeros((3, 5, 4)), np.zeros(3), 1)  # channels
-        with pytest.raises(ValueError):
-            conv1d_valid(signal, kernels, np.zeros(2), 1)  # bias length
-
 
 class TestConv2dSingleChannel:
+    """The spatial layer's per-channel filter response."""
+
     def test_known_value(self):
-        assert conv2d_single_channel(np.ones((3, 3)), np.ones((3, 3)), 0.5) == 9.5
+        assert filter_response(np.ones((3, 3)), np.ones((3, 3)), 0.5) == 9.5
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_bruteforce(self, seed):
@@ -121,15 +138,15 @@ class TestConv2dSingleChannel:
         for i in range(size):
             for j in range(size):
                 want += patch[i, j] * kernel[i, j]
-        assert conv2d_single_channel(patch, kernel, bias) == pytest.approx(
+        assert filter_response(patch, kernel, bias) == pytest.approx(
             want, abs=1e-12
         )
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            conv2d_single_channel(np.ones((3, 3)), np.ones((2, 2)), 0.0)
+            filter_response(np.ones((3, 3)), np.ones((2, 2)), 0.0)
         with pytest.raises(ValueError):
-            conv2d_single_channel(np.ones(4), np.ones(4), 0.0)
+            filter_response(np.ones(4), np.ones(4), 0.0)
 
 
 class TestFiniteDifferenceCheck:
