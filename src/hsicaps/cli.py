@@ -119,7 +119,6 @@ class RunConfig:
     window_count: int = 4
     window_capsule_dim: int = 8
     class_capsule_dim: int = 16
-    palette: str = ""
 
     def architecture(self, channels: int, num_classes: int) -> Architecture:
         shape = {

@@ -9,18 +9,23 @@ iterative routing-by-agreement.
 
 The backward pass is hand-derived and exact: routing iterations are unrolled
 and differentiated through, with the initial uniform logits treated as
-constants.  Capsule tensors follow the (positions, arrays, dim) axis
-convention throughout; class ids are 1-based.
+constants.  Capsule tensors passed between the public functions follow the
+(positions, arrays, dim) axis convention; class ids are 1-based.
 
-Each layer is written once, as a private batched (forward, backward) pair
-that ``forward_batch`` and ``backward_batch`` compose; the single-sample
-layer functions are thin adapters over the batched forwards.
+The spatial, primary and window layers are one private strided 1D
+convolution along the spectral axis, held maps-first (maps, B, length); the
+routed class layer is a batched (forward, backward) pair.
+``forward_batch`` and ``backward_batch`` compose them, and the single-sample
+layer functions are thin adapters over the same code.  Each parameter array
+is declared once, in ``_PARAM_TABLE``, with its layer, shape and init.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,26 +111,11 @@ class Architecture:
 
     def layer_param_counts(self) -> dict[str, int]:
         """Trainable parameter count per layer, biases included."""
-        spatial = self.spatial_filters * (self.patch_size**2 + 1)
-        primary = self.primary_filters * (
-            self.spatial_filters * self.primary_kernel_size + 1
-        )
-        window = self.window_count * self.window_capsule_dim * (
-            self.window_size * self.capsule_arrays * self.capsule_dim + 1
-        )
-        classes = (
-            self.window_count
-            * self.window_positions
-            * self.num_classes
-            * self.class_capsule_dim
-            * self.window_capsule_dim
-        )
-        return {
-            "spatial": spatial,
-            "primary": primary,
-            "window": window,
-            "classes": classes,
-        }
+        counts: dict[str, int] = {}
+        for name, shape in ModelParams.expected_shapes(self).items():
+            layer = _PARAM_TABLE[name].layer
+            counts[layer] = counts.get(layer, 0) + math.prod(shape)
+        return counts
 
 
 def param_count(arch: Architecture) -> int:
@@ -154,15 +144,53 @@ MINIATURE_ARCHITECTURE = Architecture(
 )
 
 
-PARAM_FIELDS = (
-    "spatial_kernels",
-    "spatial_bias",
-    "primary_kernels",
-    "primary_bias",
-    "window_tensors",
-    "window_bias",
-    "class_matrices",
-)
+class _ParamSpec(NamedTuple):
+    layer: str
+    sizes: tuple[str, ...]
+    fan_in_axis: int | None
+
+
+# Every trainable array once, in wire order: its layer, its shape as
+# Architecture sizes, and its init.  The axes of a weight array from
+# ``fan_in_axis`` on feed one output unit and the axis before them indexes
+# that unit's outputs, so it draws uniformly on [-b, b] with
+# b = sqrt(6 / (fan_in + fan_out)), fan_in = prod(shape[fan_in_axis:]) and
+# fan_out = shape[fan_in_axis - 1]; a bias (``None``) starts at zero.
+_PARAM_TABLE = {
+    "spatial_kernels": _ParamSpec(
+        "spatial", ("spatial_filters", "patch_size", "patch_size"), 1
+    ),
+    "spatial_bias": _ParamSpec("spatial", ("spatial_filters",), None),
+    "primary_kernels": _ParamSpec(
+        "primary", ("primary_filters", "spatial_filters", "primary_kernel_size"), 1
+    ),
+    "primary_bias": _ParamSpec("primary", ("primary_filters",), None),
+    "window_tensors": _ParamSpec(
+        "window",
+        (
+            "window_count",
+            "window_capsule_dim",
+            "window_size",
+            "capsule_arrays",
+            "capsule_dim",
+        ),
+        2,
+    ),
+    "window_bias": _ParamSpec("window", ("window_count", "window_capsule_dim"), None),
+    "class_matrices": _ParamSpec(
+        "classes",
+        (
+            "window_count",
+            "window_positions",
+            "num_classes",
+            "class_capsule_dim",
+            "window_capsule_dim",
+        ),
+        4,
+    ),
+}
+
+PARAM_FIELDS = tuple(_PARAM_TABLE)
 
 # The five families reported by gradient checking: the four weight tensors
 # plus all biases together.
@@ -206,29 +234,8 @@ class ModelParams:
     @staticmethod
     def expected_shapes(arch: Architecture) -> dict[str, tuple[int, ...]]:
         return {
-            "spatial_kernels": (arch.spatial_filters, arch.patch_size, arch.patch_size),
-            "spatial_bias": (arch.spatial_filters,),
-            "primary_kernels": (
-                arch.primary_filters,
-                arch.spatial_filters,
-                arch.primary_kernel_size,
-            ),
-            "primary_bias": (arch.primary_filters,),
-            "window_tensors": (
-                arch.window_count,
-                arch.window_capsule_dim,
-                arch.window_size,
-                arch.capsule_arrays,
-                arch.capsule_dim,
-            ),
-            "window_bias": (arch.window_count, arch.window_capsule_dim),
-            "class_matrices": (
-                arch.window_count,
-                arch.window_positions,
-                arch.num_classes,
-                arch.class_capsule_dim,
-                arch.window_capsule_dim,
-            ),
+            name: tuple(getattr(arch, size) for size in spec.sizes)
+            for name, spec in _PARAM_TABLE.items()
         }
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
@@ -245,38 +252,19 @@ class ModelParams:
 def init_params(
     arch: Architecture, rng: np.random.Generator | int = 0
 ) -> ModelParams:
-    """Draw weights uniformly on [-b, b] with b = sqrt(6 / (fan_in + fan_out))
-    per tensor; biases start at zero."""
+    """Draw every weight array uniformly and zero every bias, as
+    ``_PARAM_TABLE`` declares."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-
-    def uniform(shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, shape)
-
-    shapes = ModelParams.expected_shapes(arch)
-    return ModelParams(
-        arch,
-        spatial_kernels=uniform(
-            shapes["spatial_kernels"], arch.patch_size**2, arch.spatial_filters
-        ),
-        spatial_bias=np.zeros(shapes["spatial_bias"]),
-        primary_kernels=uniform(
-            shapes["primary_kernels"],
-            arch.spatial_filters * arch.primary_kernel_size,
-            arch.primary_filters,
-        ),
-        primary_bias=np.zeros(shapes["primary_bias"]),
-        window_tensors=uniform(
-            shapes["window_tensors"],
-            arch.window_size * arch.capsule_arrays * arch.capsule_dim,
-            arch.window_capsule_dim,
-        ),
-        window_bias=np.zeros(shapes["window_bias"]),
-        class_matrices=uniform(
-            shapes["class_matrices"], arch.window_capsule_dim, arch.class_capsule_dim
-        ),
-    )
+    arrays = {}
+    for name, shape in ModelParams.expected_shapes(arch).items():
+        axis = _PARAM_TABLE[name].fan_in_axis
+        if axis is None:
+            arrays[name] = np.zeros(shape)
+        else:
+            bound = np.sqrt(6.0 / (math.prod(shape[axis:]) + shape[axis - 1]))
+            arrays[name] = rng.uniform(-bound, bound, shape)
+    return ModelParams(arch, **arrays)
 
 
 def squash(vectors: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -324,95 +312,55 @@ def predict_classes(activations: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched layer pairs
+# the spectral convolution
 #
-# Every array carries a leading sample axis.  A forward also returns what its
-# backward needs; a backward returns the gradients wrt the layer input (the
-# first layer excepted) and its parameters.
+# The spatial, primary and window layers are one strided, valid 1D
+# convolution along the spectral axis, held maps-first: inputs are (in_maps,
+# B, length), kernels (out_maps, in_maps, kernel), pre-activations (out_maps,
+# B, positions).  The spatial layer is its kernel-1 case over the size*size
+# patch pixels; the window layer convolves the primary layer's arrays*dim
+# maps.  The class layer is a batched (forward, backward) pair over
+# sample-first capsules (B, positions, arrays, dim).
+
+
+def _conv_forward(maps: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int):
+    """(in_maps, B, length) -> (windows (in_maps, B, positions, kernel),
+    pre-activations (out_maps, B, positions))."""
+    windows = sliding_window_view(maps, kernels.shape[-1], axis=-1)[:, :, ::stride]
+    pre = np.tensordot(kernels, windows, axes=([1, 2], [0, 3]))
+    return windows, pre + bias[:, None, None]
+
+
+def _conv_param_grads(grad_pre: np.ndarray, windows: np.ndarray):
+    """Gradients wrt (kernels, bias)."""
+    grad_kernels = np.tensordot(grad_pre, windows, axes=([1, 2], [1, 2]))
+    return grad_kernels, grad_pre.sum(axis=(1, 2))
+
+
+def _conv_input_grad(
+    grad_pre: np.ndarray, kernels: np.ndarray, stride: int, length: int
+) -> np.ndarray:
+    """Gradient wrt the (in_maps, B, length) input."""
+    grad_windows = np.tensordot(kernels, grad_pre, axes=(0, 0))
+    return _fold_windows(grad_windows, length, stride)
 
 
 def _fold_windows(grad_windows: np.ndarray, length: int, stride: int) -> np.ndarray:
-    """Adjoint of ``sliding_window_view(x, k, axis=1)[:, ::stride]``: scatter-add
-    (B, windows, ..., k) window gradients back onto (B, length, ...)."""
-    batch, count, *inner, kernel = grad_windows.shape
-    out = np.zeros((batch, length, *inner))
+    """Adjoint of the window view in :func:`_conv_forward`: scatter-add
+    (in_maps, kernel, B, positions) window gradients onto (in_maps, B, length)."""
+    maps, kernel, batch, count = grad_windows.shape
+    out = np.zeros((maps, batch, length))
     span = (count - 1) * stride + 1
     for j in range(kernel):
-        out[:, j : j + span : stride] += grad_windows[..., j]
+        out[..., j : j + span : stride] += grad_windows[:, j]
     return out
 
 
-def _spatial_forward(patches: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
-    """(B, size, size, channels) -> (pre-activations, ReLU outputs), each
-    (B, channels, filters)."""
-    pre = np.einsum("bijc,kij->bck", patches, kernels, optimize=True) + bias
-    return pre, relu(pre)
-
-
-def _spatial_backward(grad_out: np.ndarray, pre: np.ndarray, patches: np.ndarray):
-    """Gradients wrt (kernels, bias); the patches are data, not parameters."""
-    grad_pre = relu_grad(pre, grad_out)
-    grad_kernels = np.einsum("bck,bijc->kij", grad_pre, patches, optimize=True)
-    return grad_kernels, grad_pre.sum(axis=(0, 1))
-
-
-def _primary_forward(
-    features: np.ndarray,
-    kernels: np.ndarray,
-    bias: np.ndarray,
-    stride: int,
-    capsule_arrays: int,
-    capsule_dim: int,
-):
-    """(B, channels, in_maps) -> (windows (B, positions, in_maps, kernel),
-    pre-activations (B, positions, maps), capsules (B, positions, arrays, dim))."""
-    windows = sliding_window_view(features, kernels.shape[-1], axis=1)[:, ::stride]
-    pre = np.einsum("btkf,okf->bto", windows, kernels, optimize=True) + bias
-    capsules = relu(pre).reshape(*pre.shape[:2], capsule_arrays, capsule_dim)
-    return windows, pre, capsules
-
-
-def _primary_backward(
-    grad_caps: np.ndarray,
-    windows: np.ndarray,
-    pre: np.ndarray,
-    kernels: np.ndarray,
-    stride: int,
-    length: int,
-):
-    """Gradients wrt (features of spectral ``length``, kernels, bias)."""
-    grad_pre = relu_grad(pre, grad_caps.reshape(pre.shape))
-    grad_kernels = np.einsum("bto,btkf->okf", grad_pre, windows, optimize=True)
-    grad_windows = np.einsum("bto,okf->btkf", grad_pre, kernels, optimize=True)
-    grad_features = _fold_windows(grad_windows, length, stride)
-    return grad_features, grad_kernels, grad_pre.sum(axis=(0, 1))
-
-
-def _window_forward(
-    children: np.ndarray, tensors: np.ndarray, bias: np.ndarray, stride: int
-):
-    """(B, positions, arrays, dim) -> (windows (B, out_positions, arrays, dim,
-    window), pre-activations and squashed capsules (B, out_positions,
-    out_arrays, out_dim))."""
-    windows = sliding_window_view(children, tensors.shape[2], axis=1)[:, ::stride]
-    pre = np.einsum("btidj,qmjid->btqm", windows, tensors, optimize=True) + bias
-    return windows, pre, squash(pre, axis=-1)
-
-
-def _window_backward(
-    grad_out: np.ndarray,
-    windows: np.ndarray,
-    pre: np.ndarray,
-    tensors: np.ndarray,
-    stride: int,
-    length: int,
-):
-    """Gradients wrt (children at ``length`` positions, tensors, bias)."""
-    grad_pre = squash_backward(grad_out, pre)
-    grad_tensors = np.einsum("btqm,btidj->qmjid", grad_pre, windows, optimize=True)
-    grad_windows = np.einsum("btqm,qmjid->btidj", grad_pre, tensors, optimize=True)
-    grad_children = _fold_windows(grad_windows, length, stride)
-    return grad_children, grad_tensors, grad_pre.sum(axis=(0, 1))
+def _window_kernels(tensors: np.ndarray) -> np.ndarray:
+    """(out_arrays, out_dim, window, arrays, dim) transformation tensors viewed
+    as (out_arrays*out_dim, arrays*dim, window) convolution kernels."""
+    out_arrays, out_dim, window = tensors.shape[:3]
+    return tensors.reshape(out_arrays * out_dim, window, -1).transpose(0, 2, 1)
 
 
 def _routing_softmax(logits: np.ndarray) -> np.ndarray:
@@ -538,7 +486,9 @@ def spatial_conv_forward(
         )
     if bias.shape != (kernels.shape[0],):
         raise ValueError(f"bias must have shape ({kernels.shape[0]},), got {bias.shape}")
-    return _spatial_forward(patch[None], kernels, bias)[1][0]
+    pixels = patch.reshape(-1, 1, patch.shape[2])
+    _, pre = _conv_forward(pixels, kernels.reshape(len(kernels), -1, 1), bias, 1)
+    return relu(pre[:, 0].T)
 
 
 def primary_caps_forward(
@@ -579,9 +529,8 @@ def primary_caps_forward(
             f"{capsule_dim} dims"
         )
     conv1d_output_length(features.shape[0], kernel_size, stride)
-    return _primary_forward(
-        features[None], kernels, bias, stride, capsule_arrays, capsule_dim
-    )[2][0]
+    _, pre = _conv_forward(features.T[:, None], kernels, bias, stride)
+    return relu(pre[:, 0].T).reshape(-1, capsule_arrays, capsule_dim)
 
 
 def conv_caps_forward(
@@ -613,7 +562,9 @@ def conv_caps_forward(
     if bias.shape != (out_arrays, out_dim):
         raise ValueError(f"bias must have shape {(out_arrays, out_dim)}, got {bias.shape}")
     conv1d_output_length(children.shape[0], window, stride)
-    return _window_forward(children[None], tensors, bias, stride)[2][0]
+    maps = children.reshape(len(children), -1).T[:, None]
+    _, pre = _conv_forward(maps, _window_kernels(tensors), bias.ravel(), stride)
+    return squash(pre[:, 0].T.reshape(-1, out_arrays, out_dim))
 
 
 @dataclass
@@ -660,9 +611,16 @@ def dynamic_routing(
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one batched forward pass, kept for backprop."""
+    """Intermediates of one batched forward pass, kept for backprop.
+
+    The three convolutions keep their input windows (in_maps, B, positions,
+    kernel) and pre-activations (out_maps, B, positions), maps-first;
+    ``pre_window`` is viewed sample-first as (B, positions, out_arrays,
+    out_dim), the layout of ``window_caps``, the class layer's input.
+    """
 
     patches: np.ndarray
+    patch_windows: np.ndarray
     pre_spatial: np.ndarray
     spatial_windows: np.ndarray
     pre_primary: np.ndarray
@@ -694,20 +652,28 @@ def forward_batch(
             f"got {patches.shape}"
         )
 
-    pre_spatial, spatial_out = _spatial_forward(
-        patches, params.spatial_kernels, params.spatial_bias
+    batch = len(patches)
+    pixels = patches.reshape(batch, -1, arch.channels).transpose(1, 0, 2)
+    spatial_kernels = params.spatial_kernels.reshape(arch.spatial_filters, -1, 1)
+    patch_windows, pre_spatial = _conv_forward(
+        pixels, spatial_kernels, params.spatial_bias, 1
     )
-    spatial_windows, pre_primary, primary_caps = _primary_forward(
-        spatial_out,
+    spatial_windows, pre_primary = _conv_forward(
+        relu(pre_spatial),
         params.primary_kernels,
         params.primary_bias,
         arch.primary_stride,
-        arch.capsule_arrays,
-        arch.capsule_dim,
     )
-    caps_windows, pre_window, window_caps = _window_forward(
-        primary_caps, params.window_tensors, params.window_bias, arch.window_stride
+    caps_windows, pre_window = _conv_forward(
+        relu(pre_primary),
+        _window_kernels(params.window_tensors),
+        params.window_bias.ravel(),
+        arch.window_stride,
     )
+    pre_window = pre_window.transpose(1, 2, 0).reshape(
+        batch, arch.window_positions, arch.window_count, arch.window_capsule_dim
+    )
+    window_caps = squash(pre_window)
     predictions, (parents, _, _, routing_cache) = _class_forward(
         window_caps, params.class_matrices, routing_iters, keep_cache
     )
@@ -718,6 +684,7 @@ def forward_batch(
     if keep_cache:
         cache = ForwardCache(
             patches=patches,
+            patch_windows=patch_windows,
             pre_spatial=pre_spatial,
             spatial_windows=spatial_windows,
             pre_primary=pre_primary,
@@ -750,33 +717,44 @@ def backward_batch(
         cache.routing,
         params.class_matrices,
     )
-    grad_primary_caps, grad_window_tensors, grad_window_bias = _window_backward(
-        grad_window_caps,
-        cache.caps_windows,
-        cache.pre_window,
-        params.window_tensors,
-        arch.window_stride,
-        arch.primary_positions,
+    grad_pre_window = squash_backward(grad_window_caps, cache.pre_window)
+    grad_pre_window = grad_pre_window.reshape(
+        len(upstream), arch.window_positions, -1
+    ).transpose(2, 0, 1)
+    grad_window_kernels, grad_window_bias = _conv_param_grads(
+        grad_pre_window, cache.caps_windows
     )
-    grad_spatial_out, grad_primary_kernels, grad_primary_bias = _primary_backward(
-        grad_primary_caps,
-        cache.spatial_windows,
+    grad_pre_primary = relu_grad(
         cache.pre_primary,
-        params.primary_kernels,
-        arch.primary_stride,
-        arch.channels,
+        _conv_input_grad(
+            grad_pre_window,
+            _window_kernels(params.window_tensors),
+            arch.window_stride,
+            arch.primary_positions,
+        ),
     )
-    grad_spatial_kernels, grad_spatial_bias = _spatial_backward(
-        grad_spatial_out, cache.pre_spatial, cache.patches
+    grad_primary_kernels, grad_primary_bias = _conv_param_grads(
+        grad_pre_primary, cache.spatial_windows
+    )
+    grad_pre_spatial = relu_grad(
+        cache.pre_spatial,
+        _conv_input_grad(
+            grad_pre_primary, params.primary_kernels, arch.primary_stride, arch.channels
+        ),
+    )
+    grad_spatial_kernels, grad_spatial_bias = _conv_param_grads(
+        grad_pre_spatial, cache.patch_windows
     )
 
     grads = {
-        "spatial_kernels": grad_spatial_kernels,
+        "spatial_kernels": grad_spatial_kernels.reshape(params.spatial_kernels.shape),
         "spatial_bias": grad_spatial_bias,
         "primary_kernels": grad_primary_kernels,
         "primary_bias": grad_primary_bias,
-        "window_tensors": grad_window_tensors,
-        "window_bias": grad_window_bias,
+        "window_tensors": grad_window_kernels.transpose(0, 2, 1).reshape(
+            params.window_tensors.shape
+        ),
+        "window_bias": grad_window_bias.reshape(params.window_bias.shape),
         "class_matrices": grad_class_matrices,
     }
     for name, grad in grads.items():
@@ -857,7 +835,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, int]:
 
     shapes = ModelParams.expected_shapes(arch)
     offset = 5 + _ARCH_STRUCT.size
-    payload = sum(int(np.prod(s)) * 4 for s in shapes.values())
+    payload = sum(math.prod(s) * 4 for s in shapes.values())
     expected = offset + payload + _TRAILER_STRUCT.size
     if len(data) != expected:
         raise CheckpointFormatError(
@@ -866,7 +844,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, int]:
     arrays = {}
     for name in PARAM_FIELDS:
         shape = shapes[name]
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         arrays[name] = (
             np.frombuffer(data, dtype="<f4", count=count, offset=offset)
             .reshape(shape)

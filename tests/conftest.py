@@ -13,6 +13,28 @@ import numpy as np
 import pytest
 
 from hsicaps.data import HsiCube, make_synthetic_cube, save_cube, stratified_split
+from hsicaps.layers import Architecture
+
+# Second small setup for the gradient checks (838 parameters).  In the
+# miniature setup arrays*dim = out_arrays*out_dim = 8 and four widths equal 4,
+# so a swapped axis in a layout view could pass there by coincidence; here the
+# maps of the three convolutions (9 pixels -> 3 -> 6 -> 10) and their kernel
+# sizes (1, 4, 2) all differ.
+DISTINCT_ARCHITECTURE = Architecture(
+    channels=19,
+    num_classes=3,
+    patch_size=3,
+    spatial_filters=3,
+    primary_kernel_size=4,
+    primary_stride=3,
+    capsule_arrays=3,
+    capsule_dim=2,
+    window_size=2,
+    window_stride=1,
+    window_count=2,
+    window_capsule_dim=5,
+    class_capsule_dim=4,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ class TestConfigFile:
             learning_rate=0.005,
             whiten=False,
             margin_weight=0.25,
-            palette="colors.txt",
         )
         assert parse_config(serialize_config(config)) == config
 

@@ -34,6 +34,7 @@ from hsicaps.layers import (
 from hsicaps.numerics import finite_difference_check
 
 from conftest import (
+    DISTINCT_ARCHITECTURE,
     oracle_conv_caps,
     oracle_primary_caps,
     oracle_routing,
@@ -473,8 +474,7 @@ class TestDynamicRouting:
 
 
 class TestModelEngine:
-    def random_patches(self, count, seed=0, scale=1.0):
-        arch = MINIATURE_ARCHITECTURE
+    def random_patches(self, count, seed=0, scale=1.0, arch=MINIATURE_ARCHITECTURE):
         rng = np.random.default_rng(seed)
         return rng.normal(
             0, scale, (count, arch.patch_size, arch.patch_size, arch.channels)
@@ -492,33 +492,39 @@ class TestModelEngine:
         assert len(cache.routing) == 3
 
     def test_batch_matches_single_sample_pipeline(self):
-        arch = MINIATURE_ARCHITECTURE
-        params = miniature_params(5)
-        patches = self.random_patches(3, seed=6)
-        batch_acts, _ = forward_batch(params, patches, routing_iters=3)
-        for b in range(3):
-            spatial = spatial_conv_forward(
-                patches[b], params.spatial_kernels, params.spatial_bias
-            )
-            primary = primary_caps_forward(
-                spatial,
-                params.primary_kernels,
-                params.primary_bias,
-                arch.primary_stride,
-                arch.capsule_arrays,
-                arch.capsule_dim,
-            )
-            window = conv_caps_forward(
-                primary, params.window_tensors, params.window_bias, arch.window_stride
-            )
-            acts, _ = dynamic_routing(window, params.class_matrices, 3)
-            np.testing.assert_allclose(batch_acts[b], acts, atol=1e-12)
+        for arch in (MINIATURE_ARCHITECTURE, DISTINCT_ARCHITECTURE):
+            params = init_params(arch, 5)
+            patches = self.random_patches(3, seed=6, arch=arch)
+            batch_acts, _ = forward_batch(params, patches, routing_iters=3)
+            for b in range(3):
+                spatial = spatial_conv_forward(
+                    patches[b], params.spatial_kernels, params.spatial_bias
+                )
+                primary = primary_caps_forward(
+                    spatial,
+                    params.primary_kernels,
+                    params.primary_bias,
+                    arch.primary_stride,
+                    arch.capsule_arrays,
+                    arch.capsule_dim,
+                )
+                window = conv_caps_forward(
+                    primary,
+                    params.window_tensors,
+                    params.window_bias,
+                    arch.window_stride,
+                )
+                acts, _ = dynamic_routing(window, params.class_matrices, 3)
+                np.testing.assert_allclose(
+                    batch_acts[b], acts, atol=1e-12, err_msg=str(arch)
+                )
 
     def test_shape_validation(self):
         params = miniature_params()
         with pytest.raises(ValueError):
             forward_batch(params, self.random_patches(2)[:, :2])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_input_raises(self):
         params = miniature_params()
         patches = self.random_patches(1)
@@ -548,20 +554,21 @@ class TestModelEngine:
     def test_gradients_match_finite_differences(self):
         # linear readout loss so the upstream gradient is a constant tensor;
         # every parameter family is checked coordinate by coordinate
-        params = miniature_params(4)
-        patches = self.random_patches(2, seed=7, scale=0.8)
-        rng = np.random.default_rng(8)
-        weights = rng.normal(size=(2, 3, 4))
+        for arch in (MINIATURE_ARCHITECTURE, DISTINCT_ARCHITECTURE):
+            params = init_params(arch, 4)
+            patches = self.random_patches(2, seed=7, scale=0.8, arch=arch)
+            rng = np.random.default_rng(8)
+            weights = rng.normal(size=(2, arch.num_classes, arch.class_capsule_dim))
 
-        def loss(_arr):
-            acts, _ = forward_batch(params, patches, routing_iters=3)
-            return float(np.sum(weights * acts))
+            def loss(_arr):
+                acts, _ = forward_batch(params, patches, routing_iters=3)
+                return float(np.sum(weights * acts))
 
-        _, cache = forward_batch(params, patches, routing_iters=3, keep_cache=True)
-        grads = backward_batch(params, cache, weights)
-        for name, arr in params.arrays():
-            report = finite_difference_check(loss, arr, grads[name], epsilon=1e-6)
-            assert report.max_relative_error < 1e-5, name
+            _, cache = forward_batch(params, patches, routing_iters=3, keep_cache=True)
+            grads = backward_batch(params, cache, weights)
+            for name, arr in params.arrays():
+                report = finite_difference_check(loss, arr, grads[name], epsilon=1e-6)
+                assert report.max_relative_error < 1e-5, (arch, name)
 
 
 class TestCheckpoint:

@@ -19,6 +19,8 @@ from hsicaps.training import (
     train,
 )
 
+from conftest import DISTINCT_ARCHITECTURE
+
 
 def miniature_params(seed=0):
     return init_params(MINIATURE_ARCHITECTURE, seed)
@@ -209,6 +211,7 @@ class TestTrain:
         for (name, arr), (_, arr0) in zip(best.arrays(), initial.arrays()):
             np.testing.assert_array_equal(arr, arr0, err_msg=name)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_location(self, toy_cube, toy_split):
         from hsicaps.layers import Architecture
 
@@ -271,19 +274,20 @@ class TestTrain:
 
 class TestRunGradientCheck:
     def test_groups_and_tolerance(self):
-        reports = run_gradient_check(seed=0)
-        assert set(reports) == {
-            "spatial_filters",
-            "primary_kernels",
-            "window_tensors",
-            "class_matrices",
-            "biases",
-        }
-        for group, report in reports.items():
-            assert report.max_relative_error < 1e-4, group
-            assert report.max_relative_error >= 0.0
-            assert np.isfinite(report.analytic)
-            assert np.isfinite(report.numeric)
+        for arch in (None, DISTINCT_ARCHITECTURE):
+            reports = run_gradient_check(arch=arch, seed=0)
+            assert set(reports) == {
+                "spatial_filters",
+                "primary_kernels",
+                "window_tensors",
+                "class_matrices",
+                "biases",
+            }
+            for group, report in reports.items():
+                assert report.max_relative_error < 1e-4, (arch, group)
+                assert report.max_relative_error >= 0.0
+                assert np.isfinite(report.analytic)
+                assert np.isfinite(report.numeric)
 
     def test_deterministic_per_seed(self):
         first = run_gradient_check(seed=1)
