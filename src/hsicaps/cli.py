@@ -358,13 +358,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     arch = config.architecture(prepared.channels, prepared.num_classes())
     params, record = train(prepared, split, config.train_config(), arch)
 
+    # score the float32 parameters the checkpoint holds, which are what
+    # ``hsicaps eval`` sees, not the float64 ones training ended with
+    checkpoint = str(output_dir / "checkpoint.cckp")
+    save_checkpoint(checkpoint, params, record.best_step, config.seed)
+    saved, _, _ = load_checkpoint(checkpoint)
     test_coords, _ = split.subset("test")
-    cm = evaluate(params, prepared, test_coords, config.routing_iters)
+    cm = evaluate(saved, prepared, test_coords, config.routing_iters)
     result = cm.metrics()
 
-    save_checkpoint(
-        str(output_dir / "checkpoint.cckp"), params, record.best_step, config.seed
-    )
     (output_dir / "train_log.tsv").write_text(record.to_tsv())
     (output_dir / "metrics.txt").write_text(format_metrics_table(cm, result))
     (output_dir / "metrics.kv").write_text(format_metrics_kv(cm, result))

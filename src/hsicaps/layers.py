@@ -13,8 +13,11 @@ constants.  Capsule tensors passed between the public functions follow the
 (positions, arrays, dim) axis convention; class ids are 1-based.
 
 The spatial, primary and window layers are one private strided 1D
-convolution along the spectral axis, held maps-first (maps, B, length); the
-routed class layer is a batched (forward, backward) pair.
+convolution along the spectral axis, held maps-first (maps, B, length).  The
+routed class layer is one class-major engine: its prediction vectors are
+stored once as (B, children, classes, out_dim), and routing and its unrolled
+backward read them through a (B, classes, children, out_dim) view as stacked
+matrix products.
 ``forward_batch`` and ``backward_batch`` compose them, and the single-sample
 layer functions are thin adapters over the same code.  Each parameter array
 is declared once, in ``_PARAM_TABLE``, with its layer, shape and init.
@@ -319,8 +322,8 @@ def predict_classes(activations: np.ndarray) -> np.ndarray:
 # B, length), kernels (out_maps, in_maps, kernel), pre-activations (out_maps,
 # B, positions).  The spatial layer is its kernel-1 case over the size*size
 # patch pixels; the window layer convolves the primary layer's arrays*dim
-# maps.  The class layer is a batched (forward, backward) pair over
-# sample-first capsules (B, positions, arrays, dim).
+# maps.  The class layer reads its input as sample-first capsules (B,
+# positions, arrays, dim).
 
 
 def _conv_forward(maps: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int):
@@ -363,89 +366,143 @@ def _window_kernels(tensors: np.ndarray) -> np.ndarray:
     return tensors.reshape(out_arrays * out_dim, window, -1).transpose(0, 2, 1)
 
 
+# ---------------------------------------------------------------------------
+# the routed class layer
+#
+# One class-major engine.  Child n = array * positions + position, the order
+# of ``class_matrices.reshape(children, classes * out_dim, dim)``.  The
+# prediction vectors are written once, contiguous as (B, children, classes,
+# out_dim), by one batched matmul over children; routing reads them through
+# the view (B, classes, children, out_dim), whose (children, out_dim) slices
+# BLAS takes as they are, so every routing product is a stacked matmul and the
+# prediction tensor is never copied.  Couplings, logits and agreements are
+# (B, classes, children); weighted sums and parents are (B, classes, out_dim).
+
+
+def _by_class(predictions: np.ndarray) -> np.ndarray:
+    """The (B, classes, children, out_dim) view of stored predictions."""
+    return predictions.transpose(0, 2, 1, 3)
+
+
+def _child_major(children: np.ndarray) -> np.ndarray:
+    """(B, positions, arrays, dim) child capsules as (children, B, dim)."""
+    return children.transpose(2, 1, 0, 3).reshape(-1, len(children), children.shape[-1])
+
+
 def _routing_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    """Softmax over the class axis of (B, classes, children) logits."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _weighted_sum(weights: np.ndarray, view: np.ndarray) -> np.ndarray:
+    """Sum over children of (B, classes, children) weights times the
+    class-major prediction view: (B, classes, out_dim)."""
+    return (weights[:, :, None, :] @ view)[:, :, 0]
+
+
+def _agree(view: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Scalar product of every child's prediction with the (B, classes,
+    out_dim) ``vectors``: (B, classes, children)."""
+    return (view @ vectors[..., None])[..., 0]
 
 
 def _agreement(predictions: np.ndarray, parents: np.ndarray) -> np.ndarray:
-    """Logit increment: scalar product of each child's prediction with the
-    parent capsule, (B, arrays, positions, classes)."""
-    return np.einsum("bijkm,bkm->bijk", predictions, parents, optimize=True)
+    """Logit increment of :func:`_routing_forward` on the per-child layout:
+    (B, arrays, positions, classes, dim) predictions and (B, classes, dim)
+    parents give (B, arrays, positions, classes)."""
+    batch, arrays, positions, classes, dim = predictions.shape
+    stored = predictions.reshape(batch, arrays * positions, classes, dim)
+    increment = _agree(_by_class(stored), parents)
+    return increment.transpose(0, 2, 1).reshape(batch, arrays, positions, classes)
 
 
 def _routing_forward(
-    predictions: np.ndarray, iterations: int, keep_iterations: bool
+    view: np.ndarray, iterations: int, keep_iterations: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Iterate coupling refinement over fixed prediction vectors.
 
-    ``predictions`` is (B, arrays, positions, classes, dim).  Logits start at
-    zero (uniform coupling); each iteration softmaxes the logits over classes,
-    forms the coupling-weighted sums, squashes them, and, on every iteration
-    but the last, adds the prediction/parent agreement to the logits.
+    ``view`` is the (B, classes, children, out_dim) prediction view.  Logits
+    start at zero (uniform coupling); each iteration softmaxes the logits over
+    classes, forms the coupling-weighted sums, squashes them, and, on every
+    iteration but the last, adds the prediction/parent agreement to the
+    logits.
 
-    Returns (parents, final coupling, final logits, per-iteration cache).
+    Returns (parents, final coupling, final logits, per-iteration cache of
+    (coupling, weighted sums, parents)), all class-major.
     """
     if iterations < 1:
         raise ValueError(f"need at least one routing iteration, got {iterations}")
-    batch, arrays, positions, classes, _ = predictions.shape
-    logits = np.zeros((batch, arrays, positions, classes))
+    batch, classes, children, _ = view.shape
+    logits = np.zeros((batch, classes, children))
     cache: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for it in range(iterations):
         coupling = _routing_softmax(logits)
-        weighted = np.einsum("bijk,bijkm->bkm", coupling, predictions, optimize=True)
-        parents = squash(weighted, axis=-1)
+        weighted = _weighted_sum(coupling, view)
+        parents = squash(weighted)
         if keep_iterations:
             cache.append((coupling, weighted, parents))
         if it + 1 < iterations:
-            logits = logits + _agreement(predictions, parents)
+            logits = logits + _agree(view, parents)
     return parents, coupling, logits, cache
 
 
-def _routing_backward(
-    predictions: np.ndarray, cache: list, upstream: np.ndarray
-) -> np.ndarray:
-    """Gradient of the routed output wrt the prediction vectors.
+def _routing_backward(view: np.ndarray, cache: list, upstream: np.ndarray) -> np.ndarray:
+    """Gradient of the routed output wrt the stored predictions, (B, children,
+    classes, out_dim).
 
-    Walks the unrolled iterations in reverse.  At each iteration the coupling
-    depends on the logits, the logits on all earlier parents, and the parents
-    on both coupling and predictions, so prediction gradients accumulate along
-    three paths: directly through the weighted sum, through the agreement
-    term, and through earlier parents.  The initial zero logits are constants.
+    Walks the unrolled iterations in reverse.  The predictions enter every
+    iteration's weighted sum and every agreement term, so their gradient is a
+    sum of 2 * iterations - 1 rank-one terms per (sample, class): coupling_t
+    times the weighted-sum gradient of iteration t, and the total logit
+    gradient of iteration t times the parents of iteration t - 1.  The terms
+    are collected and summed by one stacked matmul.  The initial zero logits
+    are constants.
     """
-    grad_predictions = np.zeros_like(predictions)
-    grad_parent = upstream
-    grad_logits: np.ndarray | None = None
+    batch, classes, children, dim = view.shape
+    left, right = [], []
+    grad_parents = upstream
+    grad_logits = 0.0
     for it in reversed(range(len(cache))):
         coupling, weighted, _ = cache[it]
-        grad_weighted = squash_backward(grad_parent, weighted)
-        grad_coupling = np.einsum(
-            "bkm,bijkm->bijk", grad_weighted, predictions, optimize=True
-        )
-        grad_predictions += coupling[..., None] * grad_weighted[:, None, None, :, :]
-        # softmax backward over the class axis
-        inner = (coupling * grad_coupling).sum(axis=-1, keepdims=True)
-        grad_l = coupling * (grad_coupling - inner)
-        grad_total = grad_l if grad_logits is None else grad_l + grad_logits
-        if it > 0:
-            prev_parents = cache[it - 1][2]
-            grad_predictions += grad_total[..., None] * prev_parents[:, None, None, :, :]
-            grad_parent = np.einsum(
-                "bijk,bijkm->bkm", grad_total, predictions, optimize=True
-            )
-            grad_logits = grad_total
+        grad_weighted = squash_backward(grad_parents, weighted)
+        left.append(coupling)
+        right.append(grad_weighted)
+        if it == 0:
+            break
+        # softmax backward over the class axis; logits accumulate, so the
+        # gradient of the earlier logits adds on
+        grad_coupling = _agree(view, grad_weighted)
+        inner = (coupling * grad_coupling).sum(axis=1, keepdims=True)
+        grad_logits = coupling * (grad_coupling - inner) + grad_logits
+        left.append(grad_logits)
+        right.append(cache[it - 1][2])
+        grad_parents = _weighted_sum(grad_logits, view)
+    grad_predictions = np.empty((batch, children, classes, dim))
+    np.matmul(
+        np.stack(left, axis=-1),
+        np.stack(right, axis=-2),
+        out=_by_class(grad_predictions),
+    )
     return grad_predictions
 
 
 def _class_forward(
     children: np.ndarray, matrices: np.ndarray, iterations: int, keep: bool
 ):
-    """(B, positions, arrays, dim) -> (prediction vectors, the
-    :func:`_routing_forward` result); child (array i, position j) is
-    ``children[:, j, i]``."""
-    predictions = np.einsum("bjid,ijkmd->bijkm", children, matrices, optimize=True)
-    return predictions, _routing_forward(predictions, iterations, keep)
+    """(B, positions, arrays, dim) -> (stored predictions (B, children,
+    classes, out_dim), the :func:`_routing_forward` result); child (array i,
+    position j) is ``children[:, j, i]``."""
+    arrays, positions, classes, out_dim, dim = matrices.shape
+    batch = len(children)
+    predictions = np.empty((batch, arrays * positions, classes, out_dim))
+    np.matmul(
+        _child_major(children),
+        matrices.reshape(arrays * positions, classes * out_dim, dim).transpose(0, 2, 1),
+        out=predictions.reshape(batch, -1, classes * out_dim).transpose(1, 0, 2),
+    )
+    return predictions, _routing_forward(_by_class(predictions), iterations, keep)
 
 
 def _class_backward(
@@ -456,10 +513,16 @@ def _class_backward(
     matrices: np.ndarray,
 ):
     """Gradients wrt (children, matrices) through the unrolled routing."""
-    grad_pred = _routing_backward(predictions, routing, grad_parents)
-    grad_matrices = np.einsum("bijkm,bjid->ijkmd", grad_pred, children, optimize=True)
-    grad_children = np.einsum("bijkm,ijkmd->bjid", grad_pred, matrices, optimize=True)
-    return grad_children, grad_matrices
+    arrays, positions, classes, out_dim, dim = matrices.shape
+    batch = len(children)
+    grad_pred = _routing_backward(_by_class(predictions), routing, grad_parents)
+    grad_rows = grad_pred.reshape(batch, -1, classes * out_dim).transpose(1, 0, 2)
+    grad_matrices = grad_rows.transpose(0, 2, 1) @ _child_major(children)
+    grad_children = grad_rows @ matrices.reshape(arrays * positions, -1, dim)
+    return (
+        grad_children.reshape(arrays, positions, batch, dim).transpose(2, 1, 0, 3),
+        grad_matrices.reshape(matrices.shape),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +665,11 @@ def dynamic_routing(
     _, (parents, coupling, logits, _) = _class_forward(
         children[None], matrices, iterations, False
     )
-    return parents[0], RoutingState(logits[0], coupling[0], iterations)
+    return parents[0], RoutingState(
+        logits[0].T.reshape(arrays, positions, classes),
+        coupling[0].T.reshape(arrays, positions, classes),
+        iterations,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +684,10 @@ class ForwardCache:
     kernel) and pre-activations (out_maps, B, positions), maps-first;
     ``pre_window`` is viewed sample-first as (B, positions, out_arrays,
     out_dim), the layout of ``window_caps``, the class layer's input.
+    ``predictions`` is the class layer's one prediction tensor, (B, children,
+    classes, out_dim) with child n = array * positions + position, and
+    ``routing`` holds each iteration's class-major (coupling, weighted sums,
+    parents).
     """
 
     patches: np.ndarray

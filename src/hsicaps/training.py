@@ -157,6 +157,8 @@ def predict_coords(
     batch_size: int = 256,
 ) -> np.ndarray:
     """Predicted 1-based class ids for the pixels at ``coords``, batched."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     coords = np.asarray(coords, dtype=np.int64)
     out = np.zeros(len(coords), dtype=np.int64)
     for start in range(0, len(coords), batch_size):

@@ -342,6 +342,18 @@ class TestRenderMap:
         assert code == 1
         assert "missing entries" in capsys.readouterr().err
 
+    def test_non_positive_batch_size_rejected(
+        self, pipeline, toy_cube_path, tmp_path, capsys
+    ):
+        ckpt = str(pipeline["run_dir"] / "checkpoint.cckp")
+        out = tmp_path / "m.ppm"
+        code = main(
+            ["render-map", ckpt, toy_cube_path, "-o", str(out), "--batch-size", "-1"]
+        )
+        assert code == 1
+        assert "batch_size" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_labeled_only_masks_unlabeled(self, pipeline, toy_cube_path):
         params, _, _ = load_checkpoint(
             str(pipeline["run_dir"] / "checkpoint.cckp")

@@ -173,6 +173,11 @@ class TestPredictEvaluate:
         unlabeled = HsiCube(cube.values, np.zeros_like(cube.labels))
         with pytest.raises(ValueError):
             evaluate(params, unlabeled, np.array([[0, 0]]))
+        for batch_size in (0, -1):
+            with pytest.raises(ValueError, match="batch_size"):
+                evaluate(
+                    params, cube, np.argwhere(cube.labels > 0)[:1], batch_size=batch_size
+                )
 
 
 class TestTrain:
@@ -274,20 +279,24 @@ class TestTrain:
 
 class TestRunGradientCheck:
     def test_groups_and_tolerance(self):
+        # depth 1 has no agreement term; depth 4 chains several logit gradients
         for arch in (None, DISTINCT_ARCHITECTURE):
-            reports = run_gradient_check(arch=arch, seed=0)
-            assert set(reports) == {
-                "spatial_filters",
-                "primary_kernels",
-                "window_tensors",
-                "class_matrices",
-                "biases",
-            }
-            for group, report in reports.items():
-                assert report.max_relative_error < 1e-4, (arch, group)
-                assert report.max_relative_error >= 0.0
-                assert np.isfinite(report.analytic)
-                assert np.isfinite(report.numeric)
+            for routing_iters in (3, 1, 4):
+                reports = run_gradient_check(
+                    arch=arch, seed=0, routing_iters=routing_iters
+                )
+                assert set(reports) == {
+                    "spatial_filters",
+                    "primary_kernels",
+                    "window_tensors",
+                    "class_matrices",
+                    "biases",
+                }
+                for group, report in reports.items():
+                    assert report.max_relative_error < 1e-4, (arch, routing_iters, group)
+                    assert report.max_relative_error >= 0.0
+                    assert np.isfinite(report.analytic)
+                    assert np.isfinite(report.numeric)
 
     def test_deterministic_per_seed(self):
         first = run_gradient_check(seed=1)
