@@ -30,6 +30,7 @@ from .data import (
     load_cube,
     save_cube,
     stratified_split,
+    write_atomic,
 )
 from .layers import (
     Architecture,
@@ -246,10 +247,8 @@ def write_ppm(
     for cid, rgb in palette.items():
         if cid < len(lut):
             lut[cid] = rgb
-    pixels = lut[class_ids]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
+    write_atomic(path, [header, lut[class_ids].tobytes()])
 
 
 def classification_map(
@@ -259,7 +258,11 @@ def classification_map(
     batch_size: int = 512,
     labeled_only: bool = False,
 ) -> np.ndarray:
-    """Predict a class id for every pixel (or only labeled pixels), (H, W)."""
+    """Predict a class id for every pixel (or only labeled pixels), (H, W).
+
+    ``batch_size`` caps the pixels per model call; :func:`predict_coords`
+    runs the model in prediction-budget blocks within that cap.
+    """
     if params.arch.channels != cube.channels:
         raise ValueError(
             f"model expects {params.arch.channels} channels, cube has {cube.channels}"
@@ -338,7 +341,7 @@ def cmd_split(args: argparse.Namespace) -> int:
             coords, labels = split.subset(subset)
             for (row, col), cid in zip(coords, labels):
                 lines.append(f"{subset}\t{cid}\t{row}\t{col}")
-        Path(args.output).write_text("\n".join(lines) + "\n")
+        write_atomic(args.output, [("\n".join(lines) + "\n").encode()])
         print(f"wrote assignment to {args.output}")
     return EXIT_OK
 
@@ -367,9 +370,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     cm = evaluate(saved, prepared, test_coords, config.routing_iters)
     result = cm.metrics()
 
-    (output_dir / "train_log.tsv").write_text(record.to_tsv())
-    (output_dir / "metrics.txt").write_text(format_metrics_table(cm, result))
-    (output_dir / "metrics.kv").write_text(format_metrics_kv(cm, result))
+    write_atomic(output_dir / "train_log.tsv", [record.to_tsv().encode()])
+    write_atomic(output_dir / "metrics.txt", [format_metrics_table(cm, result).encode()])
+    write_atomic(output_dir / "metrics.kv", [format_metrics_kv(cm, result).encode()])
 
     print(f"best epoch {record.best_epoch} (val OA {record.best_val_accuracy:.4f})")
     print(f"test OA {result.overall_accuracy:.4f}")
@@ -391,8 +394,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.output:
         out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.txt").write_text(format_metrics_table(cm, result))
-        (out / "metrics.kv").write_text(format_metrics_kv(cm, result))
+        write_atomic(out / "metrics.txt", [format_metrics_table(cm, result).encode()])
+        write_atomic(out / "metrics.kv", [format_metrics_kv(cm, result).encode()])
         print(f"wrote metrics to {out}")
     return EXIT_OK
 

@@ -2,13 +2,17 @@
 
 Covers the binary cube container, PCA whitening fitted on the full pixel
 population, mirror-extended spatial patch extraction, seeded per-class
-stratified splits, and a synthetic labeled cube for tests and demos.
+stratified splits, and a synthetic labeled cube for tests and demos.  It
+also holds ``write_atomic``, the temp-file-then-rename writer through which
+every file the package writes goes.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +34,7 @@ __all__ = [
     "reflect_index",
     "save_cube",
     "stratified_split",
+    "write_atomic",
 ]
 
 CUBE_MAGIC = b"HSIC"
@@ -102,6 +107,29 @@ class HsiCube:
         return np.stack([rows, cols], axis=1).astype(np.int64)
 
 
+def write_atomic(path: str | os.PathLike, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path`` whole or not at all.
+
+    The bytes go to a temp file in the target's directory, which
+    ``os.replace`` then moves over the target.  If writing fails midway the
+    temp file is removed and an earlier file at ``path`` stays as it was.
+    Nothing is fsynced, so this guards against a failing or killed writer,
+    not against power loss.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    temp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(temp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
+
+
 def save_cube(cube: HsiCube, path: str, include_labels: bool | None = None) -> None:
     """Write a cube to the binary container.
 
@@ -116,11 +144,10 @@ def save_cube(cube: HsiCube, path: str, include_labels: bool | None = None) -> N
     header = CUBE_MAGIC + _HEADER.pack(
         CUBE_VERSION, cube.height, cube.width, cube.channels, int(include_labels)
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(cube.values, dtype="<f4").tobytes())
-        if include_labels:
-            fh.write(np.ascontiguousarray(cube.labels, dtype="<u2").tobytes())
+    chunks = [header, np.ascontiguousarray(cube.values, dtype="<f4").tobytes()]
+    if include_labels:
+        chunks.append(np.ascontiguousarray(cube.labels, dtype="<u2").tobytes())
+    write_atomic(path, chunks)
 
 
 def load_cube(path: str) -> HsiCube:
@@ -128,8 +155,8 @@ def load_cube(path: str) -> HsiCube:
 
     Raises:
         CubeFormatError: on a bad magic, unsupported version, invalid
-            dimensions, truncated payload, or trailing bytes; the error
-            carries the byte offset of the failure.
+            dimensions, truncated payload, trailing bytes, or a non-finite
+            value; the error carries the byte offset of the failure.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -165,11 +192,18 @@ def load_cube(path: str) -> HsiCube:
             f"payload size mismatch: {len(data) - expected} trailing bytes", expected
         )
 
-    values = (
-        np.frombuffer(data, dtype="<f4", count=n_pixels * channels, offset=_HEADER_SIZE)
-        .reshape(height, width, channels)
-        .astype(np.float64)
+    stored = np.frombuffer(
+        data, dtype="<f4", count=n_pixels * channels, offset=_HEADER_SIZE
     )
+    # checked on the float32 view: casting a signalling NaN would warn
+    finite = np.isfinite(stored)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise CubeFormatError(
+            f"non-finite value {stored[first]} at value index {first}",
+            _HEADER_SIZE + 4 * first,
+        )
+    values = stored.reshape(height, width, channels).astype(np.float64)
     if has_labels:
         labels = (
             np.frombuffer(data, dtype="<u2", count=n_pixels, offset=_HEADER_SIZE + values_bytes)

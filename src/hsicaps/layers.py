@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .data import write_atomic
 from .numerics import conv1d_output_length, relu, relu_grad
 
 __all__ = [
@@ -867,16 +868,15 @@ def save_checkpoint(path: str, params: ModelParams, step: int, seed: int) -> Non
     """Write params as float32 plus the training-step counter and RNG seed."""
     if step < 0 or seed < 0:
         raise ValueError("step and seed must be non-negative")
-    arch_block = _ARCH_STRUCT.pack(
-        *(getattr(params.arch, name) for name in ARCH_WIRE_FIELDS)
+    header = (
+        CHECKPOINT_MAGIC
+        + struct.pack("<B", CHECKPOINT_VERSION)
+        + _ARCH_STRUCT.pack(*(getattr(params.arch, name) for name in ARCH_WIRE_FIELDS))
     )
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<B", CHECKPOINT_VERSION))
-        fh.write(arch_block)
-        for _, arr in params.arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        fh.write(_TRAILER_STRUCT.pack(step, seed))
+    payload = [
+        np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in params.arrays()
+    ]
+    write_atomic(path, [header, *payload, _TRAILER_STRUCT.pack(step, seed)])
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, int, int]:
@@ -884,8 +884,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, int]:
 
     Raises:
         CheckpointFormatError: on bad magic/version, an architecture block
-            that does not describe a valid model, or a payload whose size
-            disagrees with the architecture.
+            that does not describe a valid model, a payload whose size
+            disagrees with the architecture, or a non-finite parameter.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -916,11 +916,11 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, int]:
     for name in PARAM_FIELDS:
         shape = shapes[name]
         count = math.prod(shape)
-        arrays[name] = (
-            np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
-        )
+        stored = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+        # checked on the float32 view: casting a signalling NaN would warn
+        if not np.isfinite(stored).all():
+            raise CheckpointFormatError(f"non-finite values in {name}")
+        arrays[name] = stored.reshape(shape).astype(np.float64)
         offset += count * 4
     step, seed = _TRAILER_STRUCT.unpack(data[offset:])
     return ModelParams(arch, **arrays), step, seed

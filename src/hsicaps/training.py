@@ -149,6 +149,33 @@ class TrainingDiverged(RuntimeError):
         self.batch_index = batch_index
 
 
+# Bytes of float64 predictions one inference block may hold.  Routing reads
+# the prediction tensor 2·iters − 1 times; a block this size stays in cache
+# between those passes instead of streaming from memory on each one.
+_PREDICTION_BUDGET = 4 * 2**20
+# Blocks hold a multiple of this many samples.  OpenBLAS may round the
+# output columns of a partial tile at the end of a call differently; blocks
+# of 8k samples cut a batch of 8m samples only at tile boundaries, so their
+# activations match one whole-batch call bit for bit.  Odd blocks at 200/16,
+# and most other sizes at 103/9, changed the last bit of some activations.
+_BLOCK_MULTIPLE = 8
+
+
+def _inference_block(arch: Architecture, batch_size: int) -> int:
+    """Pixels per ``forward_batch`` call at inference: the largest multiple
+    of ``_BLOCK_MULTIPLE`` whose prediction tensor fits
+    ``_PREDICTION_BUDGET`` (at least one multiple), capped at
+    ``batch_size``."""
+    sample_bytes = 8 * (
+        arch.window_count
+        * arch.window_positions
+        * arch.num_classes
+        * arch.class_capsule_dim
+    )
+    fit = _PREDICTION_BUDGET // sample_bytes
+    return min(batch_size, max(_BLOCK_MULTIPLE, fit - fit % _BLOCK_MULTIPLE))
+
+
 def predict_coords(
     params: ModelParams,
     cube: HsiCube,
@@ -156,16 +183,25 @@ def predict_coords(
     routing_iters: int = 3,
     batch_size: int = 256,
 ) -> np.ndarray:
-    """Predicted 1-based class ids for the pixels at ``coords``, batched."""
+    """Predicted 1-based class ids for the pixels at ``coords``.
+
+    ``batch_size`` caps the pixels per ``forward_batch`` call; the model runs
+    in blocks of ``_inference_block`` pixels.  Samples do not interact, so a
+    block computes what a whole-batch call computes.  Where a call's sample
+    count is not a multiple of 8, BLAS may round a product differently, so
+    activations can differ from an unblocked run by rounding error; class
+    ids did not differ in any check.
+    """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    block = _inference_block(params.arch, batch_size)
     coords = np.asarray(coords, dtype=np.int64)
     out = np.zeros(len(coords), dtype=np.int64)
-    for start in range(0, len(coords), batch_size):
-        chunk = coords[start : start + batch_size]
+    for start in range(0, len(coords), block):
+        chunk = coords[start : start + block]
         patches = extract_patches(cube, chunk, params.arch.patch_size)
         activations, _ = forward_batch(params, patches, routing_iters)
-        out[start : start + batch_size] = predict_classes(activations)
+        out[start : start + block] = predict_classes(activations)
     return out
 
 
@@ -176,7 +212,11 @@ def evaluate(
     routing_iters: int = 3,
     batch_size: int = 256,
 ) -> ConfusionMatrix:
-    """Confusion matrix of the model over the labeled pixels at ``coords``."""
+    """Confusion matrix of the model over the labeled pixels at ``coords``.
+
+    Predictions come from :func:`predict_coords`: ``batch_size`` caps the
+    pixels per call, and the model runs in prediction-budget blocks.
+    """
     coords = np.asarray(coords, dtype=np.int64)
     if len(coords) == 0:
         raise ValueError("cannot evaluate on an empty coordinate set")

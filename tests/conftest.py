@@ -36,6 +36,14 @@ DISTINCT_ARCHITECTURE = Architecture(
     class_capsule_dim=4,
 )
 
+# float32 bit patterns a corrupt container payload may hold; casting the
+# signalling NaN to float64 raises numpy's "invalid value" warning
+NON_FINITE_FLOAT32 = {
+    "inf": 0x7F800000,
+    "quiet_nan": 0x7FC00000,
+    "signalling_nan": 0x7F800001,
+}
+
 
 # ---------------------------------------------------------------------------
 # reference implementations

@@ -1,8 +1,15 @@
 """End-to-end command-line coverage, run in process through main()."""
 
+import builtins
+import errno
+import struct
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hsicaps.data
 import hsicaps.training
 from hsicaps.cli import (
     DEFAULT_PALETTE,
@@ -15,7 +22,9 @@ from hsicaps.cli import (
     write_ppm,
 )
 from hsicaps.data import HsiCube, load_cube, save_cube
-from hsicaps.layers import load_checkpoint
+from hsicaps.layers import PARAM_FIELDS, load_checkpoint, save_checkpoint
+
+from conftest import NON_FINITE_FLOAT32
 
 
 class TestConfigFile:
@@ -374,3 +383,100 @@ class TestRenderMap:
             classification_map(
                 params, HsiCube(np.zeros((4, 4, 5)), np.zeros((4, 4)))
             )
+
+
+def _with_value(source, offset, bits, destination):
+    """Copy ``source`` to ``destination`` with the float32 at ``offset`` set
+    to ``bits``; returns the destination as a string."""
+    blob = bytearray(Path(source).read_bytes())
+    blob[offset : offset + 4] = struct.pack("<I", bits)
+    destination.write_bytes(bytes(blob))
+    return str(destination)
+
+
+class TestNonFiniteContainers:
+    @pytest.mark.parametrize("bits", NON_FINITE_FLOAT32.values(), ids=NON_FINITE_FLOAT32)
+    def test_cube(self, pipeline, toy_cube_path, tmp_path, capsys, bits):
+        cube = _with_value(toy_cube_path, 18, bits, tmp_path / "bad.hsic")
+        ckpt = str(pipeline["run_dir"] / "checkpoint.cckp")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["info", cube]) == 1
+            assert main(["eval", ckpt, cube]) == 1
+        assert capsys.readouterr().err.count("non-finite value") == 2
+
+    @pytest.mark.parametrize("bits", NON_FINITE_FLOAT32.values(), ids=NON_FINITE_FLOAT32)
+    def test_checkpoint(self, pipeline, toy_cube_path, tmp_path, capsys, bits):
+        source = pipeline["run_dir"] / "checkpoint.cckp"
+        ckpt = _with_value(source, source.stat().st_size - 20, bits, tmp_path / "bad.cckp")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", ckpt, toy_cube_path]) == 1
+        assert f"non-finite values in {PARAM_FIELDS[-1]}" in capsys.readouterr().err
+
+
+class _HalfWriter:
+    """A file whose first write stores half its bytes and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, chunk):
+        self.fh.write(chunk[: len(chunk) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicArtifacts:
+    """Every artifact writer goes through one temp-file-then-rename helper: a
+    write that fails midway leaves the earlier file and no temp file."""
+
+    def writers(self, pipeline, toy_cube_path, out_dir):
+        """Each artifact's writer, keyed by the file name it is pointed at."""
+        ckpt = str(pipeline["run_dir"] / "checkpoint.cckp")
+        params, _, _ = load_checkpoint(ckpt)
+        config = RunConfig(
+            cube=toy_cube_path, output_dir=str(out_dir), epochs=1, batch_size=64
+        )
+        config_path = out_dir.parent / "run.cfg"
+        config_path.write_text(serialize_config(config))
+        return {
+            "cube.hsic": lambda p: save_cube(load_cube(toy_cube_path), p),
+            "model.cckp": lambda p: save_checkpoint(p, params, 1, 0),
+            "map.ppm": lambda p: write_ppm(p, np.ones((2, 3), dtype=int), DEFAULT_PALETTE),
+            "split.tsv": lambda p: main(["split", toy_cube_path, "-o", p]),
+            "metrics.kv": lambda p: main(["eval", ckpt, toy_cube_path, "-o", str(out_dir)]),
+            "train_log.tsv": lambda p: main(["train", str(config_path)]),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["cube.hsic", "model.cckp", "map.ppm", "split.tsv", "metrics.kv", "train_log.tsv"],
+    )
+    def test_failed_write_keeps_earlier_file(
+        self, pipeline, toy_cube_path, tmp_path, monkeypatch, capsys, name
+    ):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        target = out_dir / name
+        target.write_bytes(b"earlier artifact")
+        write = self.writers(pipeline, toy_cube_path, out_dir)[name]
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = builtins.open(path, mode, *args, **kwargs)
+            if Path(path).name.startswith(f".{name}."):
+                return _HalfWriter(fh)
+            return fh
+
+        monkeypatch.setattr(hsicaps.data, "open", failing_open, raising=False)
+        try:
+            assert write(str(target)) == 1  # the CLI maps OSError to exit 1
+        except OSError as exc:
+            assert exc.errno == errno.ENOSPC
+        assert target.read_bytes() == b"earlier artifact"
+        assert not [p for p in out_dir.iterdir() if p.name.endswith(".tmp")]

@@ -1,0 +1,85 @@
+"""Byte-level fuzzing of the two binary containers.
+
+A truncated or byte-mutated ``.hsic`` or ``.cckp`` file either loads or
+fails with its container's format error, which the CLI maps to exit 1;
+no other exception and no numpy warning may escape the loader.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hsicaps.data import CubeFormatError, HsiCube, load_cube, save_cube
+from hsicaps.layers import (
+    MINIATURE_ARCHITECTURE,
+    CheckpointFormatError,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+
+# header bytes before the float32 payload: magic, version and dimensions of
+# a cube; magic, version and the architecture block of a checkpoint
+CUBE_HEADER = 18
+CHECKPOINT_HEADER = 57
+
+
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    """One valid small file of each kind, and a path for its damaged copies."""
+    base = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(0)
+    cube = HsiCube(rng.normal(size=(3, 4, 5)), rng.integers(0, 3, (3, 4)))
+    save_cube(cube, str(base / "valid.hsic"))
+    save_checkpoint(
+        str(base / "valid.cckp"), init_params(MINIATURE_ARCHITECTURE, 0), 7, 3
+    )
+    return {
+        kind: ((base / f"valid.{kind}").read_bytes(), base / f"damaged.{kind}")
+        for kind in ("hsic", "cckp")
+    }
+
+
+@st.composite
+def damaged(draw, blob: bytes, header: int) -> bytes:
+    """``blob`` cut short or not, then with a few bytes overwritten, half of
+    them in the header."""
+    data = bytearray(blob[: draw(st.integers(0, len(blob)))])
+    for _ in range(draw(st.integers(0, 4)) if data else 0):
+        position = draw(
+            st.one_of(
+                st.integers(0, min(header, len(data)) - 1),
+                st.integers(0, len(data) - 1),
+            )
+        )
+        data[position] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+def load_or_format_error(load, path, blob, error) -> None:
+    path.write_bytes(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            load(str(path))
+        except error:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_cube_raises_only_cube_format_error(containers, data):
+    blob, path = containers["hsic"]
+    damage = data.draw(damaged(blob, CUBE_HEADER))
+    load_or_format_error(load_cube, path, damage, CubeFormatError)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_raises_only_checkpoint_format_error(containers, data):
+    blob, path = containers["cckp"]
+    damage = data.draw(damaged(blob, CHECKPOINT_HEADER))
+    load_or_format_error(load_checkpoint, path, damage, CheckpointFormatError)

@@ -23,7 +23,7 @@ from hsicaps.data import (
     stratified_split,
 )
 
-from conftest import nearest_centroid_accuracy
+from conftest import NON_FINITE_FLOAT32, nearest_centroid_accuracy
 
 
 def random_cube(seed=0, height=6, width=5, channels=4, num_classes=3):
@@ -110,6 +110,20 @@ class TestCubeFile:
         with pytest.raises(CubeFormatError) as err:
             load_cube(str(path))
         assert "mismatch" in str(err.value)
+
+    @pytest.mark.parametrize("bits", NON_FINITE_FLOAT32.values(), ids=NON_FINITE_FLOAT32)
+    def test_non_finite_value_rejected(self, tmp_path, bits):
+        path = tmp_path / "c.hsic"
+        save_cube(random_cube(), str(path))
+        blob = bytearray(path.read_bytes())
+        offset = 18 + 4 * 7
+        blob[offset : offset + 4] = struct.pack("<I", bits)
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CubeFormatError, match="non-finite") as err:
+                load_cube(str(path))
+        assert err.value.offset == offset
 
     def test_bad_version_and_dimensions(self, tmp_path):
         path = tmp_path / "c.hsic"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hsicaps.layers import (
     _ARCH_STRUCT,
     ARCH_WIRE_FIELDS,
     MINIATURE_ARCHITECTURE,
+    PARAM_FIELDS,
     Architecture,
     CheckpointFormatError,
     ModelParams,
@@ -35,6 +37,7 @@ from hsicaps.numerics import finite_difference_check
 
 from conftest import (
     DISTINCT_ARCHITECTURE,
+    NON_FINITE_FLOAT32,
     oracle_conv_caps,
     oracle_primary_caps,
     oracle_routing,
@@ -627,6 +630,20 @@ class TestCheckpoint:
         bad.write_bytes(blob[:5] + bytes(52) + blob[57:])
         with pytest.raises(CheckpointFormatError, match="architecture"):
             load_checkpoint(str(bad))
+
+    @pytest.mark.parametrize("bits", NON_FINITE_FLOAT32.values(), ids=NON_FINITE_FLOAT32)
+    def test_non_finite_parameter_rejected(self, tmp_path, bits):
+        path = tmp_path / "m.cckp"
+        save_checkpoint(str(path), self.float32_params(), step=0, seed=0)
+        blob = bytearray(path.read_bytes())
+        # the last payload value, just before the 16-byte trailer
+        blob[-20:-16] = struct.pack("<I", bits)
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CheckpointFormatError, match="non-finite") as err:
+                load_checkpoint(str(path))
+        assert PARAM_FIELDS[-1] in str(err.value)
 
     def test_rejects_negative_counters(self, tmp_path):
         params = self.float32_params()

@@ -5,13 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from hsicaps.data import ClassSplit, HsiCube, SplitAssignment
-from hsicaps.layers import MINIATURE_ARCHITECTURE, init_params
+import hsicaps.training
+from hsicaps.data import ClassSplit, HsiCube, SplitAssignment, extract_patches
+from hsicaps.layers import (
+    MINIATURE_ARCHITECTURE,
+    Architecture,
+    forward_batch,
+    init_params,
+    predict_classes,
+)
 from hsicaps.training import (
     AdamState,
     TrainConfig,
     TrainingDiverged,
     TrainRecord,
+    _inference_block,
     adam_step,
     evaluate,
     predict_coords,
@@ -178,6 +186,61 @@ class TestPredictEvaluate:
                 evaluate(
                     params, cube, np.argwhere(cube.labels > 0)[:1], batch_size=batch_size
                 )
+
+
+class TestBlockedInference:
+    @pytest.mark.parametrize(
+        "channels, classes, count",
+        [(200, 16, 100), (103, 9, 100), (200, 16, 256), (103, 9, 512)],
+    )
+    def test_blocks_match_one_call(self, channels, classes, count, monkeypatch):
+        arch = Architecture(channels=channels, num_classes=classes)
+        params = init_params(arch, 0)
+        rng = np.random.default_rng(1)
+        cube = HsiCube(rng.normal(size=(23, 23, channels)), np.zeros((23, 23)))
+        coords = np.argwhere(np.ones((23, 23), dtype=bool))[:count]
+        block = _inference_block(arch, count)
+        assert block < count
+
+        blocks = []
+
+        def recording_forward(*args, **kwargs):
+            activations, cache = forward_batch(*args, **kwargs)
+            blocks.append(activations)
+            return activations, cache
+
+        monkeypatch.setattr(hsicaps.training, "forward_batch", recording_forward)
+        ids = predict_coords(params, cube, coords, batch_size=count)
+        whole, _ = forward_batch(params, extract_patches(cube, coords, arch.patch_size))
+
+        tail = [count % block] if count % block else []
+        assert [len(b) for b in blocks] == [block] * (count // block) + tail
+        np.testing.assert_array_equal(ids, predict_classes(whole))
+        if count % 8 == 0:
+            # blocks of 8k samples split a batch of 8m samples only where
+            # BLAS tiles end: bit for bit
+            assert np.array_equal(np.concatenate(blocks), whole)
+        else:
+            # the call ends in a partial tile, which BLAS may round
+            # differently at another call size
+            np.testing.assert_allclose(
+                np.concatenate(blocks), whole, rtol=0, atol=8 * np.finfo(np.float64).eps
+            )
+
+    def test_block_size_bounds(self):
+        # the toy shape's 3 KiB samples fit a whole batch in one block
+        toy = Architecture(channels=32, num_classes=3)
+        for batch_size in (64, 256, 512):
+            assert _inference_block(toy, batch_size) == batch_size
+        # 4 MiB holds 11 samples of 352 KiB at 200/16 and 45 of 90 KiB at
+        # 103/9, rounded down to multiples of 8
+        reference = Architecture(channels=200, num_classes=16)
+        assert _inference_block(reference, 256) == 8
+        assert _inference_block(Architecture(channels=103, num_classes=9), 512) == 40
+        # batch_size stays the cap, and a block never drops below 8 samples
+        assert _inference_block(reference, 5) == 5
+        huge = Architecture(channels=200, num_classes=16, class_capsule_dim=4096)
+        assert _inference_block(huge, 256) == 8
 
 
 class TestTrain:
