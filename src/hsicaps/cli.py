@@ -8,7 +8,9 @@ violations, training divergence).
 
 Run settings travel in a ``key = value`` config file (one pair per line,
 ``#`` comments); ``HSICAPS_OUTPUT_DIR`` overrides the configured output
-directory when set.
+directory when set.  ``train`` stores the settings, less the two paths, in
+the checkpoint, and ``eval`` and ``render-map`` take the split, seed,
+whitening and routing depth from there.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .layers import (
     ModelParams,
     load_checkpoint,
     param_count,
+    read_checkpoint,
     save_checkpoint,
 )
 from .metrics import MarginConfig, format_metrics_kv, format_metrics_table
@@ -88,60 +91,53 @@ DEFAULT_PALETTE: dict[int, tuple[int, int, int]] = {
 }
 
 
+# RunConfig key -> (declaring class, field) for the run settings the library
+# dataclasses declare; the cube gives channels and num_classes, and config
+# files name the margin fields margin_*
+_MARGIN_KEYS = {
+    "positive_margin": "margin_upper",
+    "negative_margin": "margin_lower",
+    "negative_weight": "margin_weight",
+}
+_DECLARED = {
+    _MARGIN_KEYS.get(f.name, f.name): (cls, f)
+    for cls in (Architecture, TrainConfig, MarginConfig)
+    for f in dataclasses.fields(cls)
+    if f.name not in ("channels", "num_classes", "margin")
+}
+
+
 @dataclass
-class RunConfig:
-    """Everything a training run needs, round-trippable through text."""
+class _RunOnlySettings:
+    """The run's paths, split and whitening, which no library dataclass
+    declares; RunConfig adds the settings ``_DECLARED`` lists."""
 
     cube: str = ""
     output_dir: str = "runs/out"
-    patch_size: int = 7
     train_fraction: float = 0.2
     val_fraction: float = 0.1
     whiten: bool = True
     whiten_epsilon: float = 1e-5
-    epochs: int = 50
-    learning_rate: float = 0.01
-    batch_size: int = 64
-    routing_iters: int = 3
-    margin_upper: float = 0.9
-    margin_lower: float = 0.1
-    margin_weight: float = 0.5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    seed: int = 0
-    spatial_filters: int = 16
-    primary_kernel_size: int = 9
-    primary_stride: int = 2
-    capsule_arrays: int = 2
-    capsule_dim: int = 8
-    window_size: int = 9
-    window_stride: int = 2
-    window_count: int = 4
-    window_capsule_dim: int = 8
-    class_capsule_dim: int = 16
 
     def architecture(self, channels: int, num_classes: int) -> Architecture:
-        shape = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(Architecture)
-            if f.name not in ("channels", "num_classes")
-        }
-        return Architecture(channels=channels, num_classes=num_classes, **shape)
+        return self._build(Architecture, channels=channels, num_classes=num_classes)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            routing_iters=self.routing_iters,
-            margin=MarginConfig(self.margin_upper, self.margin_lower, self.margin_weight),
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
-            seed=self.seed,
-        )
+        return self._build(TrainConfig, margin=self._build(MarginConfig))
 
+    def _build(self, cls, **given):
+        for key, (owner, f) in _DECLARED.items():
+            if owner is cls:
+                given[f.name] = getattr(self, key)
+        return cls(**given)
+
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(key, f.type, dataclasses.field(default=f.default)) for key, (_, f) in _DECLARED.items()],
+    bases=(_RunOnlySettings,),
+    namespace={"__module__": __name__, "__doc__": "Everything a training run needs."},
+)
 
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
@@ -194,10 +190,13 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**values)
 
 
-def serialize_config(config: RunConfig) -> str:
-    """Render a RunConfig as ``key = value`` lines; parse_config inverts this."""
+def serialize_config(config: RunConfig, omit: tuple[str, ...] = ()) -> str:
+    """Render a RunConfig as ``key = value`` lines, except the keys in
+    ``omit``; parse_config inverts this."""
     lines = []
     for f in dataclasses.fields(RunConfig):
+        if f.name in omit:
+            continue
         value = getattr(config, f.name)
         if isinstance(value, bool):
             text = "true" if value else "false"
@@ -254,7 +253,7 @@ def write_ppm(
 def classification_map(
     params: ModelParams,
     cube: HsiCube,
-    routing_iters: int = 3,
+    routing_iters: int = RunConfig.routing_iters,
     batch_size: int = 512,
     labeled_only: bool = False,
 ) -> np.ndarray:
@@ -263,20 +262,14 @@ def classification_map(
     ``batch_size`` caps the pixels per model call; :func:`predict_coords`
     runs the model in prediction-budget blocks within that cap.
     """
-    if params.arch.channels != cube.channels:
-        raise ValueError(
-            f"model expects {params.arch.channels} channels, cube has {cube.channels}"
-        )
     if labeled_only:
         rows, cols = np.nonzero(cube.labels > 0)
     else:
         rows, cols = np.nonzero(np.ones_like(cube.labels))
     coords = np.stack([rows, cols], axis=1)
     ids = np.zeros((cube.height, cube.width), dtype=np.int32)
-    if len(coords):
-        ids[rows, cols] = predict_coords(
-            params, cube, coords, routing_iters, batch_size
-        )
+    # predict_coords checks the channel count, also when no pixel is selected
+    ids[rows, cols] = predict_coords(params, cube, coords, routing_iters, batch_size)
     return ids
 
 
@@ -287,15 +280,17 @@ def _prepared_cube(cube: HsiCube, whiten: bool, epsilon: float) -> HsiCube:
     return apply_whitening(cube, fit_whitening(cube, epsilon))
 
 
-def _load_model_and_cube(args: argparse.Namespace) -> tuple[ModelParams, HsiCube]:
-    """The checkpoint's parameters and the model's view of the cube."""
-    params, _, _ = load_checkpoint(args.checkpoint)
+def _load_run(args: argparse.Namespace) -> tuple[ModelParams, RunConfig, HsiCube]:
+    """The checkpoint's parameters and run settings, and the model's view of
+    the cube under those settings."""
+    params, _, seed, settings = read_checkpoint(args.checkpoint)
+    try:
+        # a file without settings (version 1) still records the run's seed
+        config = parse_config(settings or f"seed = {seed}")
+    except ValueError as exc:
+        raise CheckpointFormatError(f"checkpoint settings: {exc}") from exc
     cube = load_cube(args.cube)
-    if params.arch.channels != cube.channels:
-        raise ValueError(
-            f"model expects {params.arch.channels} channels, cube has {cube.channels}"
-        )
-    return params, _prepared_cube(cube, not args.no_whiten, args.whiten_epsilon)
+    return params, config, _prepared_cube(cube, config.whiten, config.whiten_epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +356,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     arch = config.architecture(prepared.channels, prepared.num_classes())
     params, record = train(prepared, split, config.train_config(), arch)
 
-    # score the float32 parameters the checkpoint holds, which are what
-    # ``hsicaps eval`` sees, not the float64 ones training ended with
+    # store the settings without the two paths, and score the float32
+    # parameters the checkpoint holds (what ``hsicaps eval`` sees)
     checkpoint = str(output_dir / "checkpoint.cckp")
-    save_checkpoint(checkpoint, params, record.best_step, config.seed)
+    settings = serialize_config(config, omit=("cube", "output_dir"))
+    save_checkpoint(checkpoint, params, record.best_step, config.seed, settings)
     saved, _, _ = load_checkpoint(checkpoint)
     test_coords, _ = split.subset("test")
     cm = evaluate(saved, prepared, test_coords, config.routing_iters)
@@ -383,12 +379,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    params, prepared = _load_model_and_cube(args)
+    params, config, prepared = _load_run(args)
     split = stratified_split(
-        prepared, (args.train_fraction, args.val_fraction), args.seed
+        prepared, (config.train_fraction, config.val_fraction), config.seed
     )
     coords, _ = split.subset(args.subset)
-    cm = evaluate(params, prepared, coords, args.routing_iters)
+    cm = evaluate(params, prepared, coords, config.routing_iters)
     result = cm.metrics()
     sys.stdout.write(format_metrics_table(cm, result))
     if args.output:
@@ -426,12 +422,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_render_map(args: argparse.Namespace) -> int:
-    params, prepared = _load_model_and_cube(args)
+    params, config, prepared = _load_run(args)
     palette = load_palette(args.palette) if args.palette else DEFAULT_PALETTE
     ids = classification_map(
         params,
         prepared,
-        routing_iters=args.routing_iters,
+        routing_iters=config.routing_iters,
         batch_size=args.batch_size,
         labeled_only=args.labeled_only,
     )
@@ -454,15 +450,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_model_and_cube_args(p: argparse.ArgumentParser) -> None:
-    """Arguments shared by the subcommands that run a checkpoint on a cube."""
-    p.add_argument("checkpoint")
-    p.add_argument("cube")
-    p.add_argument("--routing-iters", type=int, default=3)
-    p.add_argument("--no-whiten", action="store_true")
-    p.add_argument("--whiten-epsilon", type=float, default=1e-5)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hsicaps", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -474,14 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("whiten", help="write a spectrally whitened copy of a cube")
     p.add_argument("cube")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--epsilon", type=float, default=1e-5)
+    p.add_argument("--epsilon", type=float, default=RunConfig.whiten_epsilon)
     p.set_defaults(func=cmd_whiten)
 
     p = sub.add_parser("split", help="print (and optionally write) a stratified split")
     p.add_argument("cube")
-    p.add_argument("--train-fraction", type=float, default=0.2)
-    p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--train-fraction", type=float, default=RunConfig.train_fraction)
+    p.add_argument("--val-fraction", type=float, default=RunConfig.val_fraction)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("-o", "--output", default="")
     p.set_defaults(func=cmd_split)
 
@@ -490,11 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a cube subset")
-    _add_model_and_cube_args(p)
+    p.add_argument("checkpoint")
+    p.add_argument("cube")
     p.add_argument("--subset", choices=("train", "val", "test"), default="test")
-    p.add_argument("--train-fraction", type=float, default=0.2)
-    p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default="")
     p.set_defaults(func=cmd_eval)
 
@@ -510,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("render-map", help="render a classification map as PPM")
-    _add_model_and_cube_args(p)
+    p.add_argument("checkpoint")
+    p.add_argument("cube")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--labeled-only", action="store_true")
     p.add_argument("--palette", default="")

@@ -4,7 +4,8 @@ Covers the binary cube container, PCA whitening fitted on the full pixel
 population, mirror-extended spatial patch extraction, seeded per-class
 stratified splits, and a synthetic labeled cube for tests and demos.  It
 also holds ``write_atomic``, the temp-file-then-rename writer through which
-every file the package writes goes.
+every file the package writes goes, and ``float32_payload``, which both
+binary containers store their values through.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "extract_patch",
     "extract_patches",
     "fit_whitening",
+    "float32_payload",
     "invert_whitening",
     "load_cube",
     "make_synthetic_cube",
@@ -130,12 +132,34 @@ def write_atomic(path: str | os.PathLike, chunks: Iterable[bytes]) -> None:
         raise
 
 
+def float32_payload(values: np.ndarray, name: str) -> bytes:
+    """``values`` as little-endian float32 bytes, the containers' payload.
+
+    Raises:
+        ValueError: naming ``name`` and the flat index of the first value
+            that is not finite in float32 (a NaN, an infinity or a float64
+            beyond the float32 range), which the loaders would reject.
+    """
+    # the check below reports what the cast would warn about
+    with np.errstate(over="ignore", invalid="ignore"):
+        stored = np.ascontiguousarray(values, dtype="<f4")
+    finite = np.isfinite(stored)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ValueError(
+            f"{name}: value {float(np.ravel(values)[first])} at value index "
+            f"{first} is not finite in float32"
+        )
+    return stored.tobytes()
+
+
 def save_cube(cube: HsiCube, path: str, include_labels: bool | None = None) -> None:
     """Write a cube to the binary container.
 
     Values are stored as little-endian float32 in (row, col, channel) order,
     labels as little-endian uint16.  ``include_labels=None`` writes labels
-    exactly when any pixel is labeled.
+    exactly when any pixel is labeled.  A value that is not finite in
+    float32 raises ``ValueError`` before anything is written.
     """
     if include_labels is None:
         include_labels = bool(cube.labels.any())
@@ -144,7 +168,7 @@ def save_cube(cube: HsiCube, path: str, include_labels: bool | None = None) -> N
     header = CUBE_MAGIC + _HEADER.pack(
         CUBE_VERSION, cube.height, cube.width, cube.channels, int(include_labels)
     )
-    chunks = [header, np.ascontiguousarray(cube.values, dtype="<f4").tobytes()]
+    chunks = [header, float32_payload(cube.values, "cube values")]
     if include_labels:
         chunks.append(np.ascontiguousarray(cube.labels, dtype="<u2").tobytes())
     write_atomic(path, chunks)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import write_atomic
+from .data import float32_payload, write_atomic
 from .numerics import conv1d_output_length, relu, relu_grad
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "param_count",
     "predict_classes",
     "primary_caps_forward",
+    "read_checkpoint",
     "save_checkpoint",
     "spatial_conv_forward",
     "squash",
@@ -839,7 +840,7 @@ def backward_batch(
 # checkpoint container
 
 CHECKPOINT_MAGIC = b"CCKP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # wire order of the architecture block
 ARCH_WIRE_FIELDS = (
     "patch_size",
@@ -857,6 +858,7 @@ ARCH_WIRE_FIELDS = (
     "class_capsule_dim",
 )
 _ARCH_STRUCT = struct.Struct("<13I")
+_SETTINGS_LENGTH = struct.Struct("<I")
 _TRAILER_STRUCT = struct.Struct("<QQ")
 
 
@@ -864,28 +866,34 @@ class CheckpointFormatError(ValueError):
     """A checkpoint file violated the binary container contract."""
 
 
-def save_checkpoint(path: str, params: ModelParams, step: int, seed: int) -> None:
-    """Write params as float32 plus the training-step counter and RNG seed."""
+def save_checkpoint(
+    path: str, params: ModelParams, step: int, seed: int, settings: str = ""
+) -> None:
+    """Write the run's settings text, params as float32, and the
+    training-step counter and RNG seed.  A parameter that is not finite in
+    float32 raises ``ValueError`` before anything is written."""
     if step < 0 or seed < 0:
         raise ValueError("step and seed must be non-negative")
+    text = settings.encode("utf-8")
     header = (
         CHECKPOINT_MAGIC
         + struct.pack("<B", CHECKPOINT_VERSION)
         + _ARCH_STRUCT.pack(*(getattr(params.arch, name) for name in ARCH_WIRE_FIELDS))
+        + _SETTINGS_LENGTH.pack(len(text))
     )
-    payload = [
-        np.ascontiguousarray(arr, dtype="<f4").tobytes() for _, arr in params.arrays()
-    ]
-    write_atomic(path, [header, *payload, _TRAILER_STRUCT.pack(step, seed)])
+    payload = [float32_payload(arr, name) for name, arr in params.arrays()]
+    write_atomic(path, [header, text, *payload, _TRAILER_STRUCT.pack(step, seed)])
 
 
-def load_checkpoint(path: str) -> tuple[ModelParams, int, int]:
-    """Read a checkpoint; returns (params, step, seed).
+def read_checkpoint(path: str) -> tuple[ModelParams, int, int, str]:
+    """Read a checkpoint; returns (params, step, seed, settings text), the
+    text empty when the file carries none, as a version 1 file does.
 
     Raises:
         CheckpointFormatError: on bad magic/version, an architecture block
-            that does not describe a valid model, a payload whose size
-            disagrees with the architecture, or a non-finite parameter.
+            that does not describe a valid model, a size that disagrees with
+            the architecture and the settings length, settings that are not
+            UTF-8, or a non-finite parameter.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -893,10 +901,11 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, int]:
         raise CheckpointFormatError(
             f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}"
         )
-    if len(data) < 5 + _ARCH_STRUCT.size:
+    version = data[4] if len(data) > 4 else None
+    settings_at = 5 + _ARCH_STRUCT.size + (_SETTINGS_LENGTH.size if version == 2 else 0)
+    if len(data) < settings_at:
         raise CheckpointFormatError("truncated header")
-    version = data[4]
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, 2):
         raise CheckpointFormatError(f"unsupported version {version}")
     wire = _ARCH_STRUCT.unpack(data[5 : 5 + _ARCH_STRUCT.size])
     try:
@@ -904,14 +913,20 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, int]:
     except ValueError as exc:
         raise CheckpointFormatError(f"invalid architecture block: {exc}") from exc
 
+    offset = settings_at
+    if version == 2:
+        offset += _SETTINGS_LENGTH.unpack_from(data, settings_at - _SETTINGS_LENGTH.size)[0]
     shapes = ModelParams.expected_shapes(arch)
-    offset = 5 + _ARCH_STRUCT.size
     payload = sum(math.prod(s) * 4 for s in shapes.values())
     expected = offset + payload + _TRAILER_STRUCT.size
     if len(data) != expected:
         raise CheckpointFormatError(
             f"payload size mismatch: expected {expected} bytes, file has {len(data)}"
         )
+    try:
+        settings = data[settings_at:offset].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"settings text is not UTF-8: {exc}") from exc
     arrays = {}
     for name in PARAM_FIELDS:
         shape = shapes[name]
@@ -923,4 +938,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, int]:
         arrays[name] = stored.reshape(shape).astype(np.float64)
         offset += count * 4
     step, seed = _TRAILER_STRUCT.unpack(data[offset:])
-    return ModelParams(arch, **arrays), step, seed
+    return ModelParams(arch, **arrays), step, seed, settings
+
+
+def load_checkpoint(path: str) -> tuple[ModelParams, int, int]:
+    """:func:`read_checkpoint` without the settings: (params, step, seed)."""
+    return read_checkpoint(path)[:3]

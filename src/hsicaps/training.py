@@ -90,9 +90,9 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    beta1: float = TrainConfig.adam_beta1,
+    beta2: float = TrainConfig.adam_beta2,
+    eps: float = TrainConfig.adam_eps,
 ) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update, applied in place.
 
@@ -180,7 +180,7 @@ def predict_coords(
     params: ModelParams,
     cube: HsiCube,
     coords: np.ndarray,
-    routing_iters: int = 3,
+    routing_iters: int = TrainConfig.routing_iters,
     batch_size: int = 256,
 ) -> np.ndarray:
     """Predicted 1-based class ids for the pixels at ``coords``.
@@ -194,6 +194,10 @@ def predict_coords(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if params.arch.channels != cube.channels:
+        raise ValueError(
+            f"model expects {params.arch.channels} channels, cube has {cube.channels}"
+        )
     block = _inference_block(params.arch, batch_size)
     coords = np.asarray(coords, dtype=np.int64)
     out = np.zeros(len(coords), dtype=np.int64)
@@ -209,7 +213,7 @@ def evaluate(
     params: ModelParams,
     cube: HsiCube,
     coords: np.ndarray,
-    routing_iters: int = 3,
+    routing_iters: int = TrainConfig.routing_iters,
     batch_size: int = 256,
 ) -> ConfusionMatrix:
     """Confusion matrix of the model over the labeled pixels at ``coords``.
@@ -319,7 +323,7 @@ def run_gradient_check(
     arch: Architecture | None = None,
     seed: int = 0,
     epsilon: float = 1e-5,
-    routing_iters: int = 3,
+    routing_iters: int = TrainConfig.routing_iters,
     num_samples: int = 2,
 ) -> dict[str, GradCheckReport]:
     """Finite-difference the whole backward pass, one report per parameter

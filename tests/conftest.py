@@ -44,6 +44,9 @@ NON_FINITE_FLOAT32 = {
     "signalling_nan": 0x7F800001,
 }
 
+# float64 values a float32 container cannot hold as a finite number
+UNSTORABLE_FLOAT64 = {"nan": np.nan, "inf": np.inf, "beyond_float32": 1e39}
+
 
 # ---------------------------------------------------------------------------
 # reference implementations

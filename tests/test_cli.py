@@ -1,6 +1,7 @@
 """End-to-end command-line coverage, run in process through main()."""
 
 import builtins
+import dataclasses
 import errno
 import struct
 import warnings
@@ -14,6 +15,7 @@ import hsicaps.training
 from hsicaps.cli import (
     DEFAULT_PALETTE,
     RunConfig,
+    _prepared_cube,
     classification_map,
     load_palette,
     main,
@@ -21,8 +23,10 @@ from hsicaps.cli import (
     serialize_config,
     write_ppm,
 )
-from hsicaps.data import HsiCube, load_cube, save_cube
-from hsicaps.layers import PARAM_FIELDS, load_checkpoint, save_checkpoint
+from hsicaps.data import HsiCube, load_cube, save_cube, stratified_split
+from hsicaps.layers import PARAM_FIELDS, load_checkpoint, read_checkpoint, save_checkpoint
+from hsicaps.metrics import format_metrics_table
+from hsicaps.training import evaluate
 
 from conftest import NON_FINITE_FLOAT32
 
@@ -383,6 +387,144 @@ class TestRenderMap:
             classification_map(
                 params, HsiCube(np.zeros((4, 4, 5)), np.zeros((4, 4)))
             )
+
+
+@pytest.fixture(scope="module")
+def custom_run(toy_cube_path, tmp_path_factory):
+    """A CLI training run whose split, whitening and routing depth all differ
+    from the defaults; returns its config and output directory.  One epoch
+    leaves the model unsure enough that either setting moves predictions."""
+    base = tmp_path_factory.mktemp("cli-custom")
+    config = RunConfig(
+        cube=toy_cube_path,
+        output_dir=str(base / "run"),
+        epochs=1,
+        batch_size=32,
+        train_fraction=0.3,
+        routing_iters=5,
+        whiten_epsilon=1e-3,
+    )
+    (base / "run.cfg").write_text(serialize_config(config))
+    assert main(["train", str(base / "run.cfg")]) == 0
+    return config, base / "run"
+
+
+class TestSettingsFromCheckpoint:
+    """``eval`` and ``render-map`` take the split, seed, whitening and
+    routing depth from the settings ``train`` stores in the checkpoint."""
+
+    def test_checkpoint_stores_settings_without_paths(self, custom_run):
+        config, run_dir = custom_run
+        settings = read_checkpoint(str(run_dir / "checkpoint.cckp"))[3]
+        assert settings == serialize_config(config, omit=("cube", "output_dir"))
+        paths = {"cube": RunConfig.cube, "output_dir": RunConfig.output_dir}
+        assert parse_config(settings) == dataclasses.replace(config, **paths)
+
+    def test_eval_reproduces_training_report(self, custom_run, toy_cube_path, capsys):
+        _, run_dir = custom_run
+        capsys.readouterr()
+        assert main(["eval", str(run_dir / "checkpoint.cckp"), toy_cube_path]) == 0
+        assert capsys.readouterr().out == (run_dir / "metrics.txt").read_text()
+
+    def test_render_map_uses_stored_depth_and_whitening(
+        self, custom_run, toy_cube_path, tmp_path
+    ):
+        _, run_dir = custom_run
+        ckpt = str(run_dir / "checkpoint.cckp")
+        out = tmp_path / "map.ppm"
+        assert main(["render-map", ckpt, toy_cube_path, "-o", str(out)]) == 0
+        params, _, _ = load_checkpoint(ckpt)
+        cube = load_cube(toy_cube_path)
+        prepared = _prepared_cube(cube, True, 1e-3)
+        ids = classification_map(params, prepared, routing_iters=5)
+        reference = tmp_path / "reference.ppm"
+        write_ppm(str(reference), ids, DEFAULT_PALETTE)
+        assert out.read_bytes() == reference.read_bytes()
+        # the default depth or whitening would have rendered another map
+        assert (ids != classification_map(params, prepared, routing_iters=3)).any()
+        default_white = _prepared_cube(cube, True, RunConfig.whiten_epsilon)
+        assert (ids != classification_map(params, default_white, routing_iters=5)).any()
+
+    def test_version_1_file_evaluates_with_defaults(
+        self, custom_run, toy_cube_path, tmp_path, capsys
+    ):
+        _, run_dir = custom_run
+        blob = (run_dir / "checkpoint.cckp").read_bytes()
+        (length,) = struct.unpack_from("<I", blob, 57)
+        v1 = tmp_path / "v1.cckp"
+        v1.write_bytes(blob[:4] + b"\x01" + blob[5:57] + blob[61 + length :])
+        capsys.readouterr()
+        assert main(["eval", str(v1), toy_cube_path]) == 0
+        printed = capsys.readouterr().out
+
+        defaults = RunConfig()
+        params, _, _ = load_checkpoint(str(v1))
+        prepared = _prepared_cube(load_cube(toy_cube_path), True, defaults.whiten_epsilon)
+        split = stratified_split(
+            prepared, (defaults.train_fraction, defaults.val_fraction), defaults.seed
+        )
+        coords, _ = split.subset("test")
+        cm = evaluate(params, prepared, coords, defaults.routing_iters)
+        assert printed == format_metrics_table(cm)
+        assert printed != (run_dir / "metrics.txt").read_text()
+
+    def test_file_without_settings_uses_its_seed(
+        self, custom_run, toy_cube_path, tmp_path, capsys
+    ):
+        _, run_dir = custom_run
+        params, step, _ = load_checkpoint(str(run_dir / "checkpoint.cckp"))
+        bare = str(tmp_path / "bare.cckp")
+        save_checkpoint(bare, params, step, 2)
+        capsys.readouterr()
+        assert main(["eval", bare, toy_cube_path]) == 0
+        printed = capsys.readouterr().out
+
+        # the other settings are the defaults; the seed-0 split would score
+        # other pixels
+        defaults = RunConfig()
+        prepared = _prepared_cube(load_cube(toy_cube_path), True, defaults.whiten_epsilon)
+        fractions = (defaults.train_fraction, defaults.val_fraction)
+        tables = []
+        for seed in (2, 0):
+            coords, _ = stratified_split(prepared, fractions, seed).subset("test")
+            cm = evaluate(params, prepared, coords, defaults.routing_iters)
+            tables.append(format_metrics_table(cm))
+        assert printed == tables[0] != tables[1]
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("eval", ["--routing-iters", "5"]),
+            ("eval", ["--no-whiten"]),
+            ("eval", ["--whiten-epsilon", "1e-3"]),
+            ("eval", ["--train-fraction", "0.3"]),
+            ("eval", ["--val-fraction", "0.1"]),
+            ("eval", ["--seed", "0"]),
+            ("render-map", ["--routing-iters", "5"]),
+            ("render-map", ["--no-whiten"]),
+            ("render-map", ["--whiten-epsilon", "1e-3"]),
+        ],
+    )
+    def test_setting_flags_rejected(
+        self, custom_run, toy_cube_path, tmp_path, capsys, command, flag
+    ):
+        _, run_dir = custom_run
+        argv = [command, str(run_dir / "checkpoint.cckp"), toy_cube_path, *flag]
+        if command == "render-map":
+            argv += ["-o", str(tmp_path / "map.ppm")]
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unparsable_settings_exit_1(self, custom_run, toy_cube_path, tmp_path, capsys):
+        _, run_dir = custom_run
+        params, step, seed = load_checkpoint(str(run_dir / "checkpoint.cckp"))
+        bad = str(tmp_path / "bad.cckp")
+        save_checkpoint(bad, params, step, seed, "routing_iters = deep\n")
+        out = tmp_path / "map.ppm"
+        assert main(["eval", bad, toy_cube_path]) == 1
+        assert main(["render-map", bad, toy_cube_path, "-o", str(out)]) == 1
+        assert capsys.readouterr().err.count("checkpoint settings: config line 1") == 2
+        assert not out.exists()
 
 
 def _with_value(source, offset, bits, destination):

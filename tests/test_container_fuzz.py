@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsicaps.cli import RunConfig, serialize_config
 from hsicaps.data import CubeFormatError, HsiCube, load_cube, save_cube
 from hsicaps.layers import (
     MINIATURE_ARCHITECTURE,
@@ -21,21 +22,24 @@ from hsicaps.layers import (
     save_checkpoint,
 )
 
-# header bytes before the float32 payload: magic, version and dimensions of
-# a cube; magic, version and the architecture block of a checkpoint
+# header bytes before the variable-length parts: magic, version and
+# dimensions of a cube; magic, version, the architecture block and the
+# settings length of a checkpoint
 CUBE_HEADER = 18
-CHECKPOINT_HEADER = 57
+CHECKPOINT_HEADER = 61
 
 
 @pytest.fixture(scope="module")
 def containers(tmp_path_factory):
-    """One valid small file of each kind, and a path for its damaged copies."""
+    """One valid small file of each kind, the checkpoint with the settings
+    text a training run stores, and a path for their damaged copies."""
     base = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(0)
     cube = HsiCube(rng.normal(size=(3, 4, 5)), rng.integers(0, 3, (3, 4)))
     save_cube(cube, str(base / "valid.hsic"))
+    settings = serialize_config(RunConfig(seed=3), omit=("cube", "output_dir"))
     save_checkpoint(
-        str(base / "valid.cckp"), init_params(MINIATURE_ARCHITECTURE, 0), 7, 3
+        str(base / "valid.cckp"), init_params(MINIATURE_ARCHITECTURE, 0), 7, 3, settings
     )
     return {
         kind: ((base / f"valid.{kind}").read_bytes(), base / f"damaged.{kind}")
@@ -45,9 +49,11 @@ def containers(tmp_path_factory):
 
 @st.composite
 def damaged(draw, blob: bytes, header: int) -> bytes:
-    """``blob`` cut short or not, then with a few bytes overwritten, half of
-    them in the header."""
-    data = bytearray(blob[: draw(st.integers(0, len(blob)))])
+    """``blob``, whole in about half the draws and otherwise cut short, then
+    with a few bytes overwritten, half of them in the header.  Whole files
+    reach the checks that run after the size check."""
+    length = draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
+    data = bytearray(blob[:length])
     for _ in range(draw(st.integers(0, 4)) if data else 0):
         position = draw(
             st.one_of(

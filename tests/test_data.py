@@ -23,7 +23,7 @@ from hsicaps.data import (
     stratified_split,
 )
 
-from conftest import NON_FINITE_FLOAT32, nearest_centroid_accuracy
+from conftest import NON_FINITE_FLOAT32, UNSTORABLE_FLOAT64, nearest_centroid_accuracy
 
 
 def random_cube(seed=0, height=6, width=5, channels=4, num_classes=3):
@@ -124,6 +124,16 @@ class TestCubeFile:
             with pytest.raises(CubeFormatError, match="non-finite") as err:
                 load_cube(str(path))
         assert err.value.offset == offset
+
+    @pytest.mark.parametrize("value", UNSTORABLE_FLOAT64.values(), ids=UNSTORABLE_FLOAT64)
+    def test_unstorable_value_not_written(self, tmp_path, value):
+        cube = random_cube()
+        cube.values[2, 1, 3] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="cube values: .* at value index 47 "):
+                save_cube(cube, str(tmp_path / "c.hsic"))
+        assert not list(tmp_path.iterdir())
 
     def test_bad_version_and_dimensions(self, tmp_path):
         path = tmp_path / "c.hsic"

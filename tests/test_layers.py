@@ -28,6 +28,7 @@ from hsicaps.layers import (
     param_count,
     predict_classes,
     primary_caps_forward,
+    read_checkpoint,
     save_checkpoint,
     spatial_conv_forward,
     squash,
@@ -38,6 +39,7 @@ from hsicaps.numerics import finite_difference_check
 from conftest import (
     DISTINCT_ARCHITECTURE,
     NON_FINITE_FLOAT32,
+    UNSTORABLE_FLOAT64,
     oracle_conv_caps,
     oracle_primary_caps,
     oracle_routing,
@@ -596,16 +598,18 @@ class TestCheckpoint:
     def test_header_bytes(self, tmp_path):
         params = self.float32_params()
         path = tmp_path / "m.cckp"
-        save_checkpoint(str(path), params, step=0, seed=0)
+        save_checkpoint(str(path), params, step=0, seed=0, settings="seed = 4\n")
         blob = path.read_bytes()
         arch = MINIATURE_ARCHITECTURE
         wire = struct.pack(
             "<13I", *(getattr(arch, name) for name in ARCH_WIRE_FIELDS)
         )
         assert blob[:4] == b"CCKP"
-        assert blob[4] == 1
+        assert blob[4] == 2
         assert blob[5 : 5 + 52] == wire
-        assert len(blob) == 4 + 1 + 52 + 792 * 4 + 16
+        assert blob[57:61] == struct.pack("<I", 9)
+        assert blob[61:70] == b"seed = 4\n"
+        assert len(blob) == 4 + 1 + 52 + 4 + 9 + 792 * 4 + 16
 
     def test_format_errors(self, tmp_path):
         params = self.float32_params()
@@ -618,7 +622,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="magic"):
             load_checkpoint(str(bad))
 
-        bad.write_bytes(blob[:4] + b"\x02" + blob[5:])
+        bad.write_bytes(blob[:4] + b"\x03" + blob[5:])
         with pytest.raises(CheckpointFormatError, match="version"):
             load_checkpoint(str(bad))
 
@@ -644,6 +648,50 @@ class TestCheckpoint:
             with pytest.raises(CheckpointFormatError, match="non-finite") as err:
                 load_checkpoint(str(path))
         assert PARAM_FIELDS[-1] in str(err.value)
+
+    @pytest.mark.parametrize("value", UNSTORABLE_FLOAT64.values(), ids=UNSTORABLE_FLOAT64)
+    def test_unstorable_parameter_not_written(self, tmp_path, value):
+        params = self.float32_params()
+        params.class_matrices[0, 1, 2, 3, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="class_matrices: .* at value index 92 "):
+                save_checkpoint(str(tmp_path / "m.cckp"), params, step=0, seed=0)
+        assert not list(tmp_path.iterdir())
+
+    def test_settings_round_trip(self, tmp_path):
+        path = str(tmp_path / "m.cckp")
+        text = "routing_iters = 5  # depth ≥ 5\nwhiten_epsilon = 0.001\n"
+        save_checkpoint(path, self.float32_params(), 3, 1, text)
+        params, step, seed, settings = read_checkpoint(path)
+        assert (step, seed, settings) == (3, 1, text)
+        assert load_checkpoint(path)[1:] == (3, 1)
+
+    def test_version_1_file_reads_without_settings(self, tmp_path):
+        path = tmp_path / "m.cckp"
+        save_checkpoint(str(path), self.float32_params(), 3, 1, "seed = 1\n")
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + b"\x01" + blob[5:57] + blob[61 + 9 :])
+        params, step, seed, settings = read_checkpoint(str(path))
+        assert (step, seed, settings) == (3, 1, "")
+        for (name, arr), (_, arr2) in zip(self.float32_params().arrays(), params.arrays()):
+            np.testing.assert_array_equal(arr, arr2, err_msg=name)
+
+    def test_broken_settings_rejected(self, tmp_path):
+        path = tmp_path / "m.cckp"
+        save_checkpoint(str(path), self.float32_params(), 0, 0, "seed = 1\n")
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.cckp"
+        bad.write_bytes(blob[:61] + b"seed = \xff\n" + blob[70:])
+        with pytest.raises(CheckpointFormatError, match="UTF-8"):
+            read_checkpoint(str(bad))
+        for length in (8, 10, 2**32 - 1):
+            bad.write_bytes(blob[:57] + struct.pack("<I", length) + blob[61:])
+            with pytest.raises(CheckpointFormatError, match="size"):
+                read_checkpoint(str(bad))
+        bad.write_bytes(blob[:59])
+        with pytest.raises(CheckpointFormatError, match="truncated"):
+            read_checkpoint(str(bad))
 
     def test_rejects_negative_counters(self, tmp_path):
         params = self.float32_params()
