@@ -28,6 +28,7 @@ from .data import (
     CubeFormatError,
     HsiCube,
     apply_whitening,
+    atomic_writes,
     fit_whitening,
     load_cube,
     save_cube,
@@ -38,10 +39,10 @@ from .layers import (
     Architecture,
     CheckpointFormatError,
     ModelParams,
+    encode_checkpoint,
     load_checkpoint,
     param_count,
     read_checkpoint,
-    save_checkpoint,
 )
 from .metrics import MarginConfig, format_metrics_kv, format_metrics_table
 from .training import (
@@ -357,18 +358,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     params, record = train(prepared, split, config.train_config(), arch)
 
     # store the settings without the two paths, and score the float32
-    # parameters the checkpoint holds (what ``hsicaps eval`` sees)
-    checkpoint = str(output_dir / "checkpoint.cckp")
+    # parameters the checkpoint holds (what ``hsicaps eval`` sees); the four
+    # artifacts replace the earlier run's only once all of them are written
     settings = serialize_config(config, omit=("cube", "output_dir"))
-    save_checkpoint(checkpoint, params, record.best_step, config.seed, settings)
-    saved, _, _ = load_checkpoint(checkpoint)
-    test_coords, _ = split.subset("test")
-    cm = evaluate(saved, prepared, test_coords, config.routing_iters)
-    result = cm.metrics()
-
-    write_atomic(output_dir / "train_log.tsv", [record.to_tsv().encode()])
-    write_atomic(output_dir / "metrics.txt", [format_metrics_table(cm, result).encode()])
-    write_atomic(output_dir / "metrics.kv", [format_metrics_kv(cm, result).encode()])
+    with atomic_writes() as stage:
+        checkpoint = stage(
+            output_dir / "checkpoint.cckp",
+            encode_checkpoint(params, record.best_step, config.seed, settings),
+        )
+        saved, _, _ = load_checkpoint(checkpoint)
+        test_coords, _ = split.subset("test")
+        cm = evaluate(saved, prepared, test_coords, config.routing_iters)
+        result = cm.metrics()
+        stage(output_dir / "train_log.tsv", [record.to_tsv().encode()])
+        stage(output_dir / "metrics.txt", [format_metrics_table(cm, result).encode()])
+        stage(output_dir / "metrics.kv", [format_metrics_kv(cm, result).encode()])
 
     print(f"best epoch {record.best_epoch} (val OA {record.best_val_accuracy:.4f})")
     print(f"test OA {result.overall_accuracy:.4f}")
@@ -390,8 +394,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.output:
         out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)
-        write_atomic(out / "metrics.txt", [format_metrics_table(cm, result).encode()])
-        write_atomic(out / "metrics.kv", [format_metrics_kv(cm, result).encode()])
+        with atomic_writes() as stage:
+            stage(out / "metrics.txt", [format_metrics_table(cm, result).encode()])
+            stage(out / "metrics.kv", [format_metrics_kv(cm, result).encode()])
         print(f"wrote metrics to {out}")
     return EXIT_OK
 
@@ -528,3 +533,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

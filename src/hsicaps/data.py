@@ -3,7 +3,7 @@
 Covers the binary cube container, PCA whitening fitted on the full pixel
 population, mirror-extended spatial patch extraction, seeded per-class
 stratified splits, and a synthetic labeled cube for tests and demos.  It
-also holds ``write_atomic``, the temp-file-then-rename writer through which
+also holds ``atomic_writes``, the temp-file-then-rename writer through which
 every file the package writes goes, and ``float32_payload``, which both
 binary containers store their values through.
 """
@@ -13,7 +13,8 @@ from __future__ import annotations
 import os
 import struct
 import warnings
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "SplitAssignment",
     "WhiteningTransform",
     "apply_whitening",
+    "atomic_writes",
     "extract_patch",
     "extract_patches",
     "fit_whitening",
@@ -109,27 +111,45 @@ class HsiCube:
         return np.stack([rows, cols], axis=1).astype(np.int64)
 
 
-def write_atomic(path: str | os.PathLike, chunks: Iterable[bytes]) -> None:
-    """Write ``chunks`` to ``path`` whole or not at all.
+@contextmanager
+def atomic_writes() -> Iterator[Callable[[str | os.PathLike, Iterable[bytes]], str]]:
+    """Write a group of files whole or not at all.
 
-    The bytes go to a temp file in the target's directory, which
-    ``os.replace`` then moves over the target.  If writing fails midway the
-    temp file is removed and an earlier file at ``path`` stays as it was.
-    Nothing is fsynced, so this guards against a failing or killed writer,
-    not against power loss.
+    The block gets ``stage(path, chunks)``, which writes ``chunks`` to a temp
+    file in the target's directory and returns the temp file's path.  When
+    the block ends, ``os.replace`` moves every temp file over its target, in
+    staging order.  If the block raises, every temp file is removed and the
+    earlier files stay as they were.  Nothing is fsynced, so this guards
+    against a failing or killed writer, not against power loss.
     """
-    path = os.fspath(path)
-    head, name = os.path.split(path)
-    temp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
-    try:
+    staged: list[tuple[str, str]] = []
+
+    def stage(path: str | os.PathLike, chunks: Iterable[bytes]) -> str:
+        path = os.fspath(path)
+        head, name = os.path.split(path)
+        temp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
+        staged.append((temp, path))
         with open(temp, "xb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
-        os.replace(temp, path)
+        return temp
+
+    try:
+        yield stage
+        for temp, path in staged:
+            os.replace(temp, path)
     except BaseException:
-        if os.path.exists(temp):
-            os.remove(temp)
+        for temp, _ in staged:
+            if os.path.exists(temp):
+                os.remove(temp)
         raise
+
+
+def write_atomic(path: str | os.PathLike, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path`` whole or not at all: :func:`atomic_writes`
+    for one file."""
+    with atomic_writes() as stage:
+        stage(path, chunks)
 
 
 def float32_payload(values: np.ndarray, name: str) -> bytes:

@@ -19,14 +19,19 @@ stored once as (B, children, classes, out_dim), and routing and its unrolled
 backward read them through a (B, classes, children, out_dim) view as stacked
 matrix products.
 ``forward_batch`` and ``backward_batch`` compose them, and the single-sample
-layer functions are thin adapters over the same code.  Each parameter array
-is declared once, in ``_PARAM_TABLE``, with its layer, shape and init.
+layer functions are thin adapters over the same code.  A batch whose
+prediction tensor exceeds ``_PREDICTION_BUDGET`` runs as two halves, the
+second on one worker thread.  Each parameter array is declared once, in
+``_PARAM_TABLE``, with its layer, shape and init.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -47,6 +52,7 @@ __all__ = [
     "capsule_lengths",
     "conv_caps_forward",
     "dynamic_routing",
+    "encode_checkpoint",
     "forward_batch",
     "init_params",
     "load_checkpoint",
@@ -678,6 +684,66 @@ def dynamic_routing(
 # batched model engine
 
 
+# Bytes of float64 predictions one forward or backward body may hold.
+# Routing reads the prediction tensor 2·iters − 1 times; a body this size
+# keeps it in cache between those passes instead of streaming it from
+# memory on each one.
+_PREDICTION_BUDGET = 4 * 2**20
+# Batches are cut at a multiple of this many samples.  OpenBLAS may round the
+# output columns of a partial tile at the end of a call differently; pieces
+# of 8k samples cut a batch of 8m samples only at tile boundaries, so their
+# activations match one whole-batch call bit for bit.  Odd pieces at 200/16,
+# and most other sizes at 103/9, changed the last bit of some activations.
+_BLOCK_MULTIPLE = 8
+
+# A call over the budget runs its first half on the calling thread and its
+# second on this one worker, whose thread starts on the first split call.
+# The halves are numpy calls that release the GIL, so they run on two cores.
+# One worker, not a pool: each extra thread gets its own malloc arena.
+def _reset_worker() -> None:
+    """Make an unstarted worker; a forked child inherits none of its thread."""
+    global _HALF_WORKER
+    _HALF_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hsicaps-half")
+
+
+_reset_worker()
+os.register_at_fork(after_in_child=_reset_worker)
+
+
+def _budget_samples(arch: Architecture) -> int:
+    """Samples whose float64 prediction tensor fits ``_PREDICTION_BUDGET``."""
+    sample_bytes = 8 * (
+        arch.window_count
+        * arch.window_positions
+        * arch.num_classes
+        * arch.class_capsule_dim
+    )
+    return _PREDICTION_BUDGET // sample_bytes
+
+
+def _split_point(arch: Architecture, batch: int) -> int:
+    """Samples of a ``batch``-sample call that the calling thread runs: all
+    of them while their predictions fit ``_PREDICTION_BUDGET``, otherwise
+    the multiple of ``_BLOCK_MULTIPLE`` nearest half the batch."""
+    if batch <= _budget_samples(arch):
+        return batch
+    half = (batch + _BLOCK_MULTIPLE) // (2 * _BLOCK_MULTIPLE) * _BLOCK_MULTIPLE
+    return min(batch, max(_BLOCK_MULTIPLE, half))
+
+
+def _in_halves(body, head_args: tuple, tail_args: tuple):
+    """(``body(*head_args)`` on this thread, ``body(*tail_args)`` on the
+    worker, under this thread's context, so ``np.errstate`` holds there
+    too).  The worker's half has ended when this returns or raises; an
+    exception in the first half wins over one in the second."""
+    tail = _HALF_WORKER.submit(contextvars.copy_context().run, body, *tail_args)
+    try:
+        head = body(*head_args)
+    finally:
+        wait([tail])
+    return head, tail.result()
+
+
 @dataclass
 class ForwardCache:
     """Intermediates of one batched forward pass, kept for backprop.
@@ -689,19 +755,21 @@ class ForwardCache:
     ``predictions`` is the class layer's one prediction tensor, (B, children,
     classes, out_dim) with child n = array * positions + position, and
     ``routing`` holds each iteration's class-major (coupling, weighted sums,
-    parents).
+    parents).  A batch that ran as two halves keeps the whole ``patches``
+    and each half's own cache in ``halves``; its other fields stay None.
     """
 
     patches: np.ndarray
-    patch_windows: np.ndarray
-    pre_spatial: np.ndarray
-    spatial_windows: np.ndarray
-    pre_primary: np.ndarray
-    caps_windows: np.ndarray
-    pre_window: np.ndarray
-    window_caps: np.ndarray
-    predictions: np.ndarray
-    routing: list
+    patch_windows: np.ndarray | None = None
+    pre_spatial: np.ndarray | None = None
+    spatial_windows: np.ndarray | None = None
+    pre_primary: np.ndarray | None = None
+    caps_windows: np.ndarray | None = None
+    pre_window: np.ndarray | None = None
+    window_caps: np.ndarray | None = None
+    predictions: np.ndarray | None = None
+    routing: list | None = None
+    halves: tuple[ForwardCache, ForwardCache] | None = None
 
 
 def forward_batch(
@@ -713,8 +781,11 @@ def forward_batch(
     """Run the full model on a (B, size, size, channels) patch batch.
 
     Returns ((B, classes, out_dim) class-capsule activations, cache), the
-    cache only when ``keep_cache``.  Raises FloatingPointError if the output
-    goes non-finite.
+    cache only when ``keep_cache``.  A batch whose prediction tensor exceeds
+    ``_PREDICTION_BUDGET`` runs as two halves on two threads, cut at a
+    multiple of 8 samples; samples do not interact, so the activations are
+    those of one whole call.  Raises FloatingPointError if the output goes
+    non-finite.
     """
     arch = params.arch
     patches = np.ascontiguousarray(patches, dtype=np.float64)
@@ -725,6 +796,29 @@ def forward_batch(
             f"got {patches.shape}"
         )
 
+    first = _split_point(arch, len(patches))
+    if first == len(patches):
+        parents, cache = _forward_body(params, patches, routing_iters, keep_cache)
+    else:
+        (head, head_cache), (tail, tail_cache) = _in_halves(
+            _forward_body,
+            (params, patches[:first], routing_iters, keep_cache),
+            (params, patches[first:], routing_iters, keep_cache),
+        )
+        parents = np.concatenate([head, tail])
+        cache = None
+        if keep_cache:
+            cache = ForwardCache(patches, halves=(head_cache, tail_cache))
+    if not np.isfinite(parents).all():
+        raise FloatingPointError("non-finite activations in forward pass")
+    return parents, cache
+
+
+def _forward_body(
+    params: ModelParams, patches: np.ndarray, routing_iters: int, keep_cache: bool
+) -> tuple[np.ndarray, ForwardCache | None]:
+    """:func:`forward_batch` in one piece, on validated patches."""
+    arch = params.arch
     batch = len(patches)
     pixels = patches.reshape(batch, -1, arch.channels).transpose(1, 0, 2)
     spatial_kernels = params.spatial_kernels.reshape(arch.spatial_filters, -1, 1)
@@ -750,8 +844,6 @@ def forward_batch(
     predictions, (parents, _, _, routing_cache) = _class_forward(
         window_caps, params.class_matrices, routing_iters, keep_cache
     )
-    if not np.isfinite(parents).all():
-        raise FloatingPointError("non-finite activations in forward pass")
 
     cache = None
     if keep_cache:
@@ -777,12 +869,34 @@ def backward_batch(
 
     ``upstream`` is dL/d(activations), shaped (B, classes, out_dim); any
     per-batch averaging belongs in the loss gradient.  Returns a dict keyed
-    like :attr:`ModelParams` fields.  Raises FloatingPointError if any
-    gradient goes non-finite.
+    like :attr:`ModelParams` fields.  A batch whose forward pass ran as two
+    halves runs backward as the same two halves on two threads, and each
+    gradient is the first half's plus the second's.  Raises
+    FloatingPointError if any gradient goes non-finite.
     """
-    arch = params.arch
     upstream = np.asarray(upstream, dtype=np.float64)
+    if cache.halves is None:
+        grads = _backward_body(params, cache, upstream)
+    else:
+        head_cache, tail_cache = cache.halves
+        first = len(head_cache.patches)
+        head, tail = _in_halves(
+            _backward_body,
+            (params, head_cache, upstream[:first]),
+            (params, tail_cache, upstream[first:]),
+        )
+        grads = {name: head[name] + tail[name] for name in head}
+    for name, grad in grads.items():
+        if not np.isfinite(grad).all():
+            raise FloatingPointError(f"non-finite gradient for {name}")
+    return grads
 
+
+def _backward_body(
+    params: ModelParams, cache: ForwardCache, upstream: np.ndarray
+) -> dict[str, np.ndarray]:
+    """:func:`backward_batch` over the cache of one forward body."""
+    arch = params.arch
     grad_window_caps, grad_class_matrices = _class_backward(
         upstream,
         cache.window_caps,
@@ -819,7 +933,7 @@ def backward_batch(
         grad_pre_spatial, cache.patch_windows
     )
 
-    grads = {
+    return {
         "spatial_kernels": grad_spatial_kernels.reshape(params.spatial_kernels.shape),
         "spatial_bias": grad_spatial_bias,
         "primary_kernels": grad_primary_kernels,
@@ -830,10 +944,6 @@ def backward_batch(
         "window_bias": grad_window_bias.reshape(params.window_bias.shape),
         "class_matrices": grad_class_matrices,
     }
-    for name, grad in grads.items():
-        if not np.isfinite(grad).all():
-            raise FloatingPointError(f"non-finite gradient for {name}")
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -866,12 +976,12 @@ class CheckpointFormatError(ValueError):
     """A checkpoint file violated the binary container contract."""
 
 
-def save_checkpoint(
-    path: str, params: ModelParams, step: int, seed: int, settings: str = ""
-) -> None:
-    """Write the run's settings text, params as float32, and the
-    training-step counter and RNG seed.  A parameter that is not finite in
-    float32 raises ``ValueError`` before anything is written."""
+def encode_checkpoint(
+    params: ModelParams, step: int, seed: int, settings: str = ""
+) -> list[bytes]:
+    """The bytes of a checkpoint file: the run's settings text, params as
+    float32, and the training-step counter and RNG seed.  A parameter that
+    is not finite in float32 raises ``ValueError``."""
     if step < 0 or seed < 0:
         raise ValueError("step and seed must be non-negative")
     text = settings.encode("utf-8")
@@ -882,7 +992,15 @@ def save_checkpoint(
         + _SETTINGS_LENGTH.pack(len(text))
     )
     payload = [float32_payload(arr, name) for name, arr in params.arrays()]
-    write_atomic(path, [header, text, *payload, _TRAILER_STRUCT.pack(step, seed)])
+    return [header, text, *payload, _TRAILER_STRUCT.pack(step, seed)]
+
+
+def save_checkpoint(
+    path: str, params: ModelParams, step: int, seed: int, settings: str = ""
+) -> None:
+    """Write :func:`encode_checkpoint`'s bytes to ``path``; a ``ValueError``
+    leaves nothing written."""
+    write_atomic(path, encode_checkpoint(params, step, seed, settings))
 
 
 def read_checkpoint(path: str) -> tuple[ModelParams, int, int, str]:

@@ -19,6 +19,8 @@ from .layers import (
     MINIATURE_ARCHITECTURE,
     ModelParams,
     PARAM_GROUPS,
+    _BLOCK_MULTIPLE,
+    _budget_samples,
     backward_batch,
     forward_batch,
     init_params,
@@ -149,30 +151,13 @@ class TrainingDiverged(RuntimeError):
         self.batch_index = batch_index
 
 
-# Bytes of float64 predictions one inference block may hold.  Routing reads
-# the prediction tensor 2·iters − 1 times; a block this size stays in cache
-# between those passes instead of streaming from memory on each one.
-_PREDICTION_BUDGET = 4 * 2**20
-# Blocks hold a multiple of this many samples.  OpenBLAS may round the
-# output columns of a partial tile at the end of a call differently; blocks
-# of 8k samples cut a batch of 8m samples only at tile boundaries, so their
-# activations match one whole-batch call bit for bit.  Odd blocks at 200/16,
-# and most other sizes at 103/9, changed the last bit of some activations.
-_BLOCK_MULTIPLE = 8
-
-
 def _inference_block(arch: Architecture, batch_size: int) -> int:
-    """Pixels per ``forward_batch`` call at inference: the largest multiple
-    of ``_BLOCK_MULTIPLE`` whose prediction tensor fits
-    ``_PREDICTION_BUDGET`` (at least one multiple), capped at
-    ``batch_size``."""
-    sample_bytes = 8 * (
-        arch.window_count
-        * arch.window_positions
-        * arch.num_classes
-        * arch.class_capsule_dim
-    )
-    fit = _PREDICTION_BUDGET // sample_bytes
+    """Pixels per ``forward_batch`` call at inference: twice the samples
+    whose prediction tensor fits the layers' ``_PREDICTION_BUDGET``, rounded
+    down to a multiple of ``_BLOCK_MULTIPLE`` (at least one multiple) and
+    capped at ``batch_size``.  ``forward_batch`` runs such a block as two
+    halves of about the budget each, on two threads."""
+    fit = 2 * _budget_samples(arch)
     return min(batch_size, max(_BLOCK_MULTIPLE, fit - fit % _BLOCK_MULTIPLE))
 
 
@@ -302,6 +287,9 @@ def train(
             except FloatingPointError as exc:
                 raise TrainingDiverged(epoch, batch_index) from exc
             loss_sum += loss * len(chosen)
+            # the cache holds the batch's prediction tensor; without this it
+            # stays alive through the next forward pass and validation
+            del patches, activations, cache, grads
         epoch_losses.append(loss_sum / num_train)
 
         val_cm = evaluate(params, cube, val_coords, config.routing_iters)

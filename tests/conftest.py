@@ -12,8 +12,9 @@ import math
 import numpy as np
 import pytest
 
+import hsicaps.layers
 from hsicaps.data import HsiCube, make_synthetic_cube, save_cube, stratified_split
-from hsicaps.layers import Architecture
+from hsicaps.layers import MINIATURE_ARCHITECTURE, Architecture
 
 # Second small setup for the gradient checks (838 parameters).  In the
 # miniature setup arrays*dim = out_arrays*out_dim = 8 and four widths equal 4,
@@ -35,6 +36,16 @@ DISTINCT_ARCHITECTURE = Architecture(
     window_capsule_dim=5,
     class_capsule_dim=4,
 )
+
+
+
+def shrink_prediction_budget(samples, monkeypatch, arch=MINIATURE_ARCHITECTURE):
+    """Shrink the model's prediction budget so that ``samples`` samples of
+    ``arch`` fit it and larger calls run as two halves."""
+    sample_bytes = 8 * (
+        arch.window_count * arch.window_positions * arch.num_classes * arch.class_capsule_dim
+    )
+    monkeypatch.setattr(hsicaps.layers, "_PREDICTION_BUDGET", samples * sample_bytes)
 
 # float32 bit patterns a corrupt container payload may hold; casting the
 # signalling NaN to float64 raises numpy's "invalid value" warning

@@ -1,9 +1,13 @@
-"""End-to-end command-line coverage, run in process through main()."""
+"""End-to-end command-line coverage, run in process through main(), plus
+the ``python -m`` entry points in a subprocess."""
 
 import builtins
 import dataclasses
 import errno
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -576,7 +580,10 @@ class _HalfWriter:
 
 class TestAtomicArtifacts:
     """Every artifact writer goes through one temp-file-then-rename helper: a
-    write that fails midway leaves the earlier file and no temp file."""
+    write that fails midway leaves the earlier files and no temp file.  A
+    command that writes several files replaces none of them then: ``train``
+    stages ``checkpoint.cckp`` before ``train_log.tsv``, and ``eval``
+    stages ``metrics.txt`` before ``metrics.kv``."""
 
     def writers(self, pipeline, toy_cube_path, out_dir):
         """Each artifact's writer, keyed by the file name it is pointed at."""
@@ -606,7 +613,9 @@ class TestAtomicArtifacts:
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         target = out_dir / name
-        target.write_bytes(b"earlier artifact")
+        earlier = [out_dir / n for n in {name, "checkpoint.cckp", "metrics.txt"}]
+        for path in earlier:
+            path.write_bytes(b"earlier artifact")
         write = self.writers(pipeline, toy_cube_path, out_dir)[name]
 
         def failing_open(path, mode="r", *args, **kwargs):
@@ -620,5 +629,23 @@ class TestAtomicArtifacts:
             assert write(str(target)) == 1  # the CLI maps OSError to exit 1
         except OSError as exc:
             assert exc.errno == errno.ENOSPC
-        assert target.read_bytes() == b"earlier artifact"
+        for path in earlier:
+            assert path.read_bytes() == b"earlier artifact", path.name
         assert not [p for p in out_dir.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("module", ["hsicaps", "hsicaps.cli"])
+def test_python_dash_m_runs_a_command(module, tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", module, "param-count", "--channels", "200", "--classes", "16"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "368,208\n"

@@ -1,7 +1,9 @@
 """Architecture bookkeeping, layer forwards, routing, backprop, checkpoints."""
 
 import dataclasses
+import multiprocessing
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -9,10 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hsicaps.layers
 from hsicaps.cli import RunConfig
 from hsicaps.layers import (
     _ARCH_STRUCT,
     ARCH_WIRE_FIELDS,
+    _split_point,
     MINIATURE_ARCHITECTURE,
     PARAM_FIELDS,
     Architecture,
@@ -34,6 +38,7 @@ from hsicaps.layers import (
     squash,
     squash_backward,
 )
+from hsicaps.metrics import margin_loss_batch
 from hsicaps.numerics import finite_difference_check
 
 from conftest import (
@@ -45,6 +50,7 @@ from conftest import (
     oracle_routing,
     oracle_spatial_conv,
     oracle_squash_vector,
+    shrink_prediction_budget,
 )
 
 
@@ -574,6 +580,85 @@ class TestModelEngine:
             for name, arr in params.arrays():
                 report = finite_difference_check(loss, arr, grads[name], epsilon=1e-6)
                 assert report.max_relative_error < 1e-5, (arch, name)
+
+
+class TestHalves:
+    """A call over the prediction budget runs as two halves, the second on
+    the worker thread."""
+
+    def test_split_point(self, monkeypatch):
+        reference = Architecture(channels=200, num_classes=16)
+        # the train-ip batch splits in two; 11 samples of 352 KiB fit 4 MiB
+        assert _split_point(reference, 64) == 32
+        assert _split_point(reference, 11) == 11
+        assert _split_point(reference, 12) == 8
+        # train-toy batches and map blocks, and the gradient check, never split
+        assert _split_point(Architecture(channels=32, num_classes=3), 512) == 512
+        assert _split_point(MINIATURE_ARCHITECTURE, 2) == 2
+        # cut at the multiple of 8 nearest half the batch, never at 0
+        shrink_prediction_budget(8, monkeypatch)
+        cuts = {b: _split_point(MINIATURE_ARCHITECTURE, b) for b in (8, 9, 23, 24, 37, 64, 88)}
+        assert cuts == {8: 8, 9: 8, 23: 8, 24: 16, 37: 16, 64: 32, 88: 48}
+
+    @pytest.mark.parametrize("count", [24, 37])
+    def test_split_call_matches_whole_call(self, count, monkeypatch):
+        params = miniature_params(3)
+        rng = np.random.default_rng(4)
+        patches = rng.normal(size=(count, 3, 3, 24))
+        labels = rng.integers(1, 4, count)
+
+        def step():
+            acts, cache = forward_batch(params, patches, keep_cache=True)
+            loss, grad = margin_loss_batch(acts, labels)
+            return acts, loss, cache, backward_batch(params, cache, grad)
+
+        whole_acts, whole_loss, whole_cache, whole_grads = step()
+        assert whole_cache.halves is None
+
+        bodies = []
+        forward_body = hsicaps.layers._forward_body
+
+        def recording_body(params, patches, *args):
+            bodies.append((threading.current_thread().name, len(patches)))
+            return forward_body(params, patches, *args)
+
+        monkeypatch.setattr(hsicaps.layers, "_forward_body", recording_body)
+        shrink_prediction_budget(8, monkeypatch)
+        acts, loss, cache, grads = step()
+
+        first = 16
+        assert sorted(bodies) == sorted(
+            [(threading.current_thread().name, first), ("hsicaps-half_0", count - first)]
+        )
+        assert len(cache.patches) == count
+        assert [len(half.patches) for half in cache.halves] == [first, count - first]
+        assert np.array_equal(acts, whole_acts)
+        assert loss == whole_loss
+        for name, grad in grads.items():
+            scale = np.abs(whole_grads[name]).max()
+            assert np.abs(grad - whole_grads[name]).max() <= 1e-14 * scale, name
+
+    def test_forked_child_gets_its_own_worker(self, monkeypatch):
+        shrink_prediction_budget(8, monkeypatch)
+        params = miniature_params()
+        patches = np.random.default_rng(6).normal(size=(16, 3, 3, 24))
+        forward_batch(params, patches)  # the parent's worker thread is running
+        child = multiprocessing.get_context("fork").Process(
+            target=forward_batch, args=(params, patches)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+    def test_worker_half_keeps_the_callers_errstate(self, monkeypatch):
+        shrink_prediction_budget(8, monkeypatch)
+        patches = np.random.default_rng(5).normal(size=(16, 3, 3, 24))
+        patches[8:] *= 1e300  # only the worker's half overflows
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                forward_batch(miniature_params(), patches)
 
 
 class TestCheckpoint:

@@ -1,12 +1,21 @@
 """Adam updates, the training loop, evaluation, and gradient checking."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import hsicaps.layers
 import hsicaps.training
-from hsicaps.data import ClassSplit, HsiCube, SplitAssignment, extract_patches
+from hsicaps.data import (
+    ClassSplit,
+    HsiCube,
+    SplitAssignment,
+    extract_patches,
+    make_synthetic_cube,
+    stratified_split,
+)
 from hsicaps.layers import (
     MINIATURE_ARCHITECTURE,
     Architecture,
@@ -27,7 +36,7 @@ from hsicaps.training import (
     train,
 )
 
-from conftest import DISTINCT_ARCHITECTURE
+from conftest import DISTINCT_ARCHITECTURE, shrink_prediction_budget
 
 
 def miniature_params(seed=0):
@@ -232,11 +241,12 @@ class TestBlockedInference:
         toy = Architecture(channels=32, num_classes=3)
         for batch_size in (64, 256, 512):
             assert _inference_block(toy, batch_size) == batch_size
-        # 4 MiB holds 11 samples of 352 KiB at 200/16 and 45 of 90 KiB at
-        # 103/9, rounded down to multiples of 8
+        # a block holds two halves of the 4 MiB budget: 2 * 11 samples of
+        # 352 KiB at 200/16 and 2 * 45 of 90 KiB at 103/9, rounded down to
+        # multiples of 8
         reference = Architecture(channels=200, num_classes=16)
-        assert _inference_block(reference, 256) == 8
-        assert _inference_block(Architecture(channels=103, num_classes=9), 512) == 40
+        assert _inference_block(reference, 256) == 16
+        assert _inference_block(Architecture(channels=103, num_classes=9), 512) == 88
         # batch_size stays the cap, and a block never drops below 8 samples
         assert _inference_block(reference, 5) == 5
         huge = Architecture(channels=200, num_classes=16, class_capsule_dim=4096)
@@ -338,6 +348,59 @@ class TestTrain:
         )
         assert record.epoch_losses[-1] < 1e-3
         assert record.epoch_losses[-1] < record.epoch_losses[0] / 100.0
+
+
+class TestTrainInHalves:
+    """Training on the miniature setup with the prediction budget shrunk to
+    8 samples, so every 16-sample batch runs as two halves."""
+
+    CONFIG = TrainConfig(epochs=3, learning_rate=0.01, batch_size=16, seed=2)
+
+    @pytest.fixture
+    def scene(self, monkeypatch):
+        shrink_prediction_budget(8, monkeypatch)
+        cube = make_synthetic_cube(12, 12, 24, 3, noise_sigma=0.2, seed=3)
+        return cube, stratified_split(cube, (0.3, 0.2), seed=0)
+
+    def test_reruns_bitwise_identical(self, scene):
+        cube, split = scene
+        params_a, record_a = train(cube, split, self.CONFIG, MINIATURE_ARCHITECTURE)
+        params_b, record_b = train(cube, split, self.CONFIG, MINIATURE_ARCHITECTURE)
+        for (name, arr_a), (_, arr_b) in zip(params_a.arrays(), params_b.arrays()):
+            assert arr_a.tobytes() == arr_b.tobytes(), name
+        assert record_a == record_b
+
+    def test_error_in_worker_half_names_its_batch(self, scene, monkeypatch):
+        cube, split = scene
+        batches = math.ceil(len(split.subset("train")[0]) / self.CONFIG.batch_size)
+        calls = []
+        backward = hsicaps.training.backward_batch
+        monkeypatch.setattr(
+            hsicaps.training,
+            "backward_batch",
+            lambda *args: calls.append(None) or backward(*args),
+        )
+        worker_halves = []
+        body = hsicaps.layers._backward_body
+
+        def failing_body(*args):
+            if threading.current_thread() is not threading.main_thread():
+                worker_halves.append(None)
+                if len(worker_halves) == batches + 2:
+                    raise FloatingPointError("injected")
+            return body(*args)
+
+        monkeypatch.setattr(hsicaps.layers, "_backward_body", failing_body)
+        with pytest.raises(TrainingDiverged) as info:
+            train(cube, split, self.CONFIG, MINIATURE_ARCHITECTURE)
+        # the worker's half of the last backward call raised
+        failed = len(calls) - 1
+        assert (info.value.epoch, info.value.batch_index) == (
+            failed // batches + 1,
+            failed % batches,
+        )
+        assert info.value.epoch == 2
+        assert str(info.value.__cause__) == "injected"
 
 
 class TestRunGradientCheck:
