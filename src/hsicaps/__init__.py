@@ -3,125 +3,17 @@
 A from-scratch numpy implementation: spatial and spectral feature extraction
 feed capsule layers coupled by routing-by-agreement, trained with a
 hand-written backward pass and Adam.  See the README for the file formats
-and the command-line interface.
+and the command-line interface.  The package exports the public names of
+its five library modules, each listed once in that module's ``__all__``.
 """
 
-from .data import (
-    CubeFormatError,
-    HsiCube,
-    Patch,
-    SplitAssignment,
-    WhiteningTransform,
-    apply_whitening,
-    extract_patch,
-    extract_patches,
-    fit_whitening,
-    invert_whitening,
-    load_cube,
-    make_synthetic_cube,
-    reflect_index,
-    save_cube,
-    stratified_split,
-)
-from .layers import (
-    Architecture,
-    CheckpointFormatError,
-    ModelParams,
-    RoutingState,
-    backward_batch,
-    capsule_lengths,
-    conv_caps_forward,
-    dynamic_routing,
-    forward_batch,
-    init_params,
-    load_checkpoint,
-    param_count,
-    predict_classes,
-    primary_caps_forward,
-    save_checkpoint,
-    spatial_conv_forward,
-    squash,
-    squash_backward,
-)
-from .metrics import (
-    ConfusionMatrix,
-    MarginConfig,
-    MetricsResult,
-    format_metrics_kv,
-    format_metrics_table,
-    margin_loss,
-    margin_loss_batch,
-)
-from .numerics import (
-    GradCheckReport,
-    finite_difference_check,
-    relu,
-)
-from .training import (
-    AdamState,
-    TrainConfig,
-    TrainRecord,
-    TrainingDiverged,
-    adam_step,
-    evaluate,
-    predict_coords,
-    run_gradient_check,
-    train,
-)
+from . import data, layers, metrics, numerics, training
+from .data import *  # noqa: F403
+from .layers import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .numerics import *  # noqa: F403
+from .training import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamState",
-    "Architecture",
-    "CheckpointFormatError",
-    "ConfusionMatrix",
-    "CubeFormatError",
-    "GradCheckReport",
-    "HsiCube",
-    "MarginConfig",
-    "MetricsResult",
-    "ModelParams",
-    "Patch",
-    "RoutingState",
-    "SplitAssignment",
-    "TrainConfig",
-    "TrainRecord",
-    "TrainingDiverged",
-    "WhiteningTransform",
-    "adam_step",
-    "apply_whitening",
-    "backward_batch",
-    "capsule_lengths",
-    "conv_caps_forward",
-    "dynamic_routing",
-    "evaluate",
-    "extract_patch",
-    "extract_patches",
-    "finite_difference_check",
-    "fit_whitening",
-    "format_metrics_kv",
-    "format_metrics_table",
-    "forward_batch",
-    "init_params",
-    "invert_whitening",
-    "load_checkpoint",
-    "load_cube",
-    "make_synthetic_cube",
-    "margin_loss",
-    "margin_loss_batch",
-    "param_count",
-    "predict_classes",
-    "predict_coords",
-    "primary_caps_forward",
-    "reflect_index",
-    "relu",
-    "run_gradient_check",
-    "save_checkpoint",
-    "save_cube",
-    "spatial_conv_forward",
-    "squash",
-    "squash_backward",
-    "stratified_split",
-    "train",
-]
+__all__ = data.__all__ + layers.__all__ + metrics.__all__ + numerics.__all__ + training.__all__

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -144,6 +145,14 @@ _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
 
 
+def finite_float(text: str) -> float:
+    """``float(text)``, refusing NaN and the infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_value(text: str, target_type: type):
     if target_type is bool:
         word = text.strip().lower()
@@ -155,7 +164,7 @@ def _parse_value(text: str, target_type: type):
     if target_type is int:
         return int(text)
     if target_type is float:
-        return float(text)
+        return finite_float(text)
     return text
 
 
@@ -346,6 +355,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = parse_config(Path(args.config).read_text())
     if not config.cube:
         raise ValueError("config must set 'cube'")
+    # rejects bad optimization settings before any file is read or written
+    train_config = config.train_config()
     output_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or config.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
 
@@ -355,7 +366,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         prepared, (config.train_fraction, config.val_fraction), config.seed
     )
     arch = config.architecture(prepared.channels, prepared.num_classes())
-    params, record = train(prepared, split, config.train_config(), arch)
+    params, record = train(prepared, split, train_config, arch)
 
     # store the settings without the two paths, and score the float32
     # parameters the checkpoint holds (what ``hsicaps eval`` sees); the four
@@ -466,13 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("whiten", help="write a spectrally whitened copy of a cube")
     p.add_argument("cube")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--epsilon", type=float, default=RunConfig.whiten_epsilon)
+    p.add_argument("--epsilon", type=finite_float, default=RunConfig.whiten_epsilon)
     p.set_defaults(func=cmd_whiten)
 
     p = sub.add_parser("split", help="print (and optionally write) a stratified split")
     p.add_argument("cube")
-    p.add_argument("--train-fraction", type=float, default=RunConfig.train_fraction)
-    p.add_argument("--val-fraction", type=float, default=RunConfig.val_fraction)
+    p.add_argument("--train-fraction", type=finite_float, default=RunConfig.train_fraction)
+    p.add_argument("--val-fraction", type=finite_float, default=RunConfig.val_fraction)
     p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("-o", "--output", default="")
     p.set_defaults(func=cmd_split)
@@ -495,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference the backward pass")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=finite_float, default=1e-5)
+    p.add_argument("--tolerance", type=finite_float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("render-map", help="render a classification map as PPM")

@@ -19,19 +19,20 @@ stored once as (B, children, classes, out_dim), and routing and its unrolled
 backward read them through a (B, classes, children, out_dim) view as stacked
 matrix products.
 ``forward_batch`` and ``backward_batch`` compose them, and the single-sample
-layer functions are thin adapters over the same code.  A batch whose
-prediction tensor exceeds ``_PREDICTION_BUDGET`` runs as two halves, the
-second on one worker thread.  Each parameter array is declared once, in
-``_PARAM_TABLE``, with its layer, shape and init.
+layer functions are thin adapters over the same code.  Both run a call as
+the one or two sample pieces that one cut rule gives, the second on one
+worker thread; the inference block size follows the same budget.  Each
+parameter array is declared once, in ``_PARAM_TABLE``, with its layer,
+shape, init and gradient-check family.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextvars import copy_context
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -159,23 +160,28 @@ class _ParamSpec(NamedTuple):
     layer: str
     sizes: tuple[str, ...]
     fan_in_axis: int | None
+    group: str
 
 
 # Every trainable array once, in wire order: its layer, its shape as
-# Architecture sizes, and its init.  The axes of a weight array from
-# ``fan_in_axis`` on feed one output unit and the axis before them indexes
-# that unit's outputs, so it draws uniformly on [-b, b] with
-# b = sqrt(6 / (fan_in + fan_out)), fan_in = prod(shape[fan_in_axis:]) and
-# fan_out = shape[fan_in_axis - 1]; a bias (``None``) starts at zero.
+# Architecture sizes, its init, and the family gradient checking reports it
+# in (the four weight tensors, plus all biases together).  The axes of a
+# weight array from ``fan_in_axis`` on feed one output unit and the axis
+# before them indexes that unit's outputs, so it draws uniformly on [-b, b]
+# with b = sqrt(6 / (fan_in + fan_out)), fan_in = prod(shape[fan_in_axis:])
+# and fan_out = shape[fan_in_axis - 1]; a bias (``None``) starts at zero.
 _PARAM_TABLE = {
     "spatial_kernels": _ParamSpec(
-        "spatial", ("spatial_filters", "patch_size", "patch_size"), 1
+        "spatial", ("spatial_filters", "patch_size", "patch_size"), 1, "spatial_filters"
     ),
-    "spatial_bias": _ParamSpec("spatial", ("spatial_filters",), None),
+    "spatial_bias": _ParamSpec("spatial", ("spatial_filters",), None, "biases"),
     "primary_kernels": _ParamSpec(
-        "primary", ("primary_filters", "spatial_filters", "primary_kernel_size"), 1
+        "primary",
+        ("primary_filters", "spatial_filters", "primary_kernel_size"),
+        1,
+        "primary_kernels",
     ),
-    "primary_bias": _ParamSpec("primary", ("primary_filters",), None),
+    "primary_bias": _ParamSpec("primary", ("primary_filters",), None, "biases"),
     "window_tensors": _ParamSpec(
         "window",
         (
@@ -186,8 +192,11 @@ _PARAM_TABLE = {
             "capsule_dim",
         ),
         2,
+        "window_tensors",
     ),
-    "window_bias": _ParamSpec("window", ("window_count", "window_capsule_dim"), None),
+    "window_bias": _ParamSpec(
+        "window", ("window_count", "window_capsule_dim"), None, "biases"
+    ),
     "class_matrices": _ParamSpec(
         "classes",
         (
@@ -198,22 +207,12 @@ _PARAM_TABLE = {
             "window_capsule_dim",
         ),
         4,
+        "class_matrices",
     ),
 }
 
 PARAM_FIELDS = tuple(_PARAM_TABLE)
-
-# The five families reported by gradient checking: the four weight tensors
-# plus all biases together.
-PARAM_GROUPS = {
-    "spatial_kernels": "spatial_filters",
-    "primary_kernels": "primary_kernels",
-    "window_tensors": "window_tensors",
-    "class_matrices": "class_matrices",
-    "spatial_bias": "biases",
-    "primary_bias": "biases",
-    "window_bias": "biases",
-}
+PARAM_GROUPS = {name: spec.group for name, spec in _PARAM_TABLE.items()}
 
 
 @dataclass
@@ -684,8 +683,8 @@ def dynamic_routing(
 # batched model engine
 
 
-# Bytes of float64 predictions one forward or backward body may hold.
-# Routing reads the prediction tensor 2·iters − 1 times; a body this size
+# Bytes of float64 predictions one forward or backward piece may hold.
+# Routing reads the prediction tensor 2·iters − 1 times; a piece this size
 # keeps it in cache between those passes instead of streaming it from
 # memory on each one.
 _PREDICTION_BUDGET = 4 * 2**20
@@ -696,57 +695,60 @@ _PREDICTION_BUDGET = 4 * 2**20
 # and most other sizes at 103/9, changed the last bit of some activations.
 _BLOCK_MULTIPLE = 8
 
-# A call over the budget runs its first half on the calling thread and its
+# A call over the budget runs its first piece on the calling thread and its
 # second on this one worker, whose thread starts on the first split call.
-# The halves are numpy calls that release the GIL, so they run on two cores.
+# The pieces are numpy calls that release the GIL, so they run on two cores.
 # One worker, not a pool: each extra thread gets its own malloc arena.
 def _reset_worker() -> None:
     """Make an unstarted worker; a forked child inherits none of its thread."""
-    global _HALF_WORKER
-    _HALF_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hsicaps-half")
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hsicaps-half")
 
 
 _reset_worker()
 os.register_at_fork(after_in_child=_reset_worker)
 
 
-def _budget_samples(arch: Architecture) -> int:
-    """Samples whose float64 prediction tensor fits ``_PREDICTION_BUDGET``."""
-    sample_bytes = 8 * (
-        arch.window_count
-        * arch.window_positions
-        * arch.num_classes
-        * arch.class_capsule_dim
-    )
-    return _PREDICTION_BUDGET // sample_bytes
+def _prediction_bytes(arch: Architecture) -> int:
+    """Bytes of one sample's float64 predictions, one per class matrix row."""
+    return 8 * math.prod(ModelParams.expected_shapes(arch)["class_matrices"][:-1])
 
 
-def _split_point(arch: Architecture, batch: int) -> int:
-    """Samples of a ``batch``-sample call that the calling thread runs: all
-    of them while their predictions fit ``_PREDICTION_BUDGET``, otherwise
-    the multiple of ``_BLOCK_MULTIPLE`` nearest half the batch."""
-    if batch <= _budget_samples(arch):
-        return batch
-    half = (batch + _BLOCK_MULTIPLE) // (2 * _BLOCK_MULTIPLE) * _BLOCK_MULTIPLE
-    return min(batch, max(_BLOCK_MULTIPLE, half))
+def _pieces(arch: Architecture, batch: int) -> list[slice]:
+    """Sample slices a ``batch``-sample call runs as: the whole batch while
+    its predictions fit ``_PREDICTION_BUDGET``, otherwise two, cut at the
+    multiple of ``_BLOCK_MULTIPLE`` nearest half the batch."""
+    cut = batch
+    if batch * _prediction_bytes(arch) > _PREDICTION_BUDGET:
+        half = (batch + _BLOCK_MULTIPLE) // (2 * _BLOCK_MULTIPLE) * _BLOCK_MULTIPLE
+        cut = min(batch, max(_BLOCK_MULTIPLE, half))
+    return [slice(0, cut), slice(cut, batch)] if cut < batch else [slice(0, batch)]
 
 
-def _in_halves(body, head_args: tuple, tail_args: tuple):
-    """(``body(*head_args)`` on this thread, ``body(*tail_args)`` on the
-    worker, under this thread's context, so ``np.errstate`` holds there
-    too).  The worker's half has ended when this returns or raises; an
-    exception in the first half wins over one in the second."""
-    tail = _HALF_WORKER.submit(contextvars.copy_context().run, body, *tail_args)
+def inference_block(arch: Architecture, batch_size: int) -> int:
+    """Pixels per ``forward_batch`` call at inference: twice the samples
+    whose predictions fit ``_PREDICTION_BUDGET``, rounded down to a multiple
+    of ``_BLOCK_MULTIPLE`` (at least one multiple) and capped at
+    ``batch_size``, so a block runs as two pieces of about the budget each."""
+    fit = 2 * (_PREDICTION_BUDGET // _prediction_bytes(arch))
+    return min(batch_size, max(_BLOCK_MULTIPLE, fit - fit % _BLOCK_MULTIPLE))
+
+
+def _run_pieces(body, piece_args: list[tuple]) -> list:
+    """``body(*args)`` for each piece's arguments: the first on this thread,
+    a second on the worker under this thread's context, so ``np.errstate``
+    holds there too.  The worker's piece has ended when this returns or
+    raises; an exception in the first piece wins over one in the second."""
+    rest = [_WORKER.submit(copy_context().run, body, *args) for args in piece_args[1:]]
     try:
-        head = body(*head_args)
+        first = body(*piece_args[0])
     finally:
-        wait([tail])
-    return head, tail.result()
+        wait(rest)
+    return [first] + [future.result() for future in rest]
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates of one batched forward pass, kept for backprop.
+class _PieceCache(NamedTuple):
+    """Intermediates of one piece's forward pass.
 
     The three convolutions keep their input windows (in_maps, B, positions,
     kernel) and pre-activations (out_maps, B, positions), maps-first;
@@ -755,21 +757,28 @@ class ForwardCache:
     ``predictions`` is the class layer's one prediction tensor, (B, children,
     classes, out_dim) with child n = array * positions + position, and
     ``routing`` holds each iteration's class-major (coupling, weighted sums,
-    parents).  A batch that ran as two halves keeps the whole ``patches``
-    and each half's own cache in ``halves``; its other fields stay None.
+    parents).
     """
 
+    patch_windows: np.ndarray
+    pre_spatial: np.ndarray
+    spatial_windows: np.ndarray
+    pre_primary: np.ndarray
+    caps_windows: np.ndarray
+    pre_window: np.ndarray
+    window_caps: np.ndarray
+    predictions: np.ndarray
+    routing: list
+
+
+@dataclass
+class ForwardCache:
+    """Intermediates of one batched forward pass, kept for backprop: the
+    whole ``patches`` and, in sample order, those of each piece the call
+    ran as."""
+
     patches: np.ndarray
-    patch_windows: np.ndarray | None = None
-    pre_spatial: np.ndarray | None = None
-    spatial_windows: np.ndarray | None = None
-    pre_primary: np.ndarray | None = None
-    caps_windows: np.ndarray | None = None
-    pre_window: np.ndarray | None = None
-    window_caps: np.ndarray | None = None
-    predictions: np.ndarray | None = None
-    routing: list | None = None
-    halves: tuple[ForwardCache, ForwardCache] | None = None
+    pieces: list[_PieceCache]
 
 
 def forward_batch(
@@ -782,7 +791,7 @@ def forward_batch(
 
     Returns ((B, classes, out_dim) class-capsule activations, cache), the
     cache only when ``keep_cache``.  A batch whose prediction tensor exceeds
-    ``_PREDICTION_BUDGET`` runs as two halves on two threads, cut at a
+    ``_PREDICTION_BUDGET`` runs as two pieces on two threads, cut at a
     multiple of 8 samples; samples do not interact, so the activations are
     those of one whole call.  Raises FloatingPointError if the output goes
     non-finite.
@@ -795,29 +804,24 @@ def forward_batch(
             f"patches must be (B, {expected[0]}, {expected[1]}, {expected[2]}), "
             f"got {patches.shape}"
         )
-
-    first = _split_point(arch, len(patches))
-    if first == len(patches):
-        parents, cache = _forward_body(params, patches, routing_iters, keep_cache)
-    else:
-        (head, head_cache), (tail, tail_cache) = _in_halves(
-            _forward_body,
-            (params, patches[:first], routing_iters, keep_cache),
-            (params, patches[first:], routing_iters, keep_cache),
-        )
-        parents = np.concatenate([head, tail])
-        cache = None
-        if keep_cache:
-            cache = ForwardCache(patches, halves=(head_cache, tail_cache))
+    outputs = _run_pieces(
+        _forward_body,
+        [
+            (params, patches[samples], routing_iters, keep_cache)
+            for samples in _pieces(arch, len(patches))
+        ],
+    )
+    parents = np.concatenate([piece_parents for piece_parents, _ in outputs])
     if not np.isfinite(parents).all():
         raise FloatingPointError("non-finite activations in forward pass")
+    cache = ForwardCache(patches, [piece for _, piece in outputs]) if keep_cache else None
     return parents, cache
 
 
 def _forward_body(
     params: ModelParams, patches: np.ndarray, routing_iters: int, keep_cache: bool
-) -> tuple[np.ndarray, ForwardCache | None]:
-    """:func:`forward_batch` in one piece, on validated patches."""
+) -> tuple[np.ndarray, _PieceCache | None]:
+    """One piece of :func:`forward_batch`, on validated patches."""
     arch = params.arch
     batch = len(patches)
     pixels = patches.reshape(batch, -1, arch.channels).transpose(1, 0, 2)
@@ -844,22 +848,19 @@ def _forward_body(
     predictions, (parents, _, _, routing_cache) = _class_forward(
         window_caps, params.class_matrices, routing_iters, keep_cache
     )
-
-    cache = None
-    if keep_cache:
-        cache = ForwardCache(
-            patches=patches,
-            patch_windows=patch_windows,
-            pre_spatial=pre_spatial,
-            spatial_windows=spatial_windows,
-            pre_primary=pre_primary,
-            caps_windows=caps_windows,
-            pre_window=pre_window,
-            window_caps=window_caps,
-            predictions=predictions,
-            routing=routing_cache,
-        )
-    return parents, cache
+    if not keep_cache:
+        return parents, None
+    return parents, _PieceCache(
+        patch_windows=patch_windows,
+        pre_spatial=pre_spatial,
+        spatial_windows=spatial_windows,
+        pre_primary=pre_primary,
+        caps_windows=caps_windows,
+        pre_window=pre_window,
+        window_caps=window_caps,
+        predictions=predictions,
+        routing=routing_cache,
+    )
 
 
 def backward_batch(
@@ -869,23 +870,21 @@ def backward_batch(
 
     ``upstream`` is dL/d(activations), shaped (B, classes, out_dim); any
     per-batch averaging belongs in the loss gradient.  Returns a dict keyed
-    like :attr:`ModelParams` fields.  A batch whose forward pass ran as two
-    halves runs backward as the same two halves on two threads, and each
-    gradient is the first half's plus the second's.  Raises
-    FloatingPointError if any gradient goes non-finite.
+    like :attr:`ModelParams` fields.  Backward runs as the pieces the
+    forward pass ran as, on as many threads, and each gradient is the sum of
+    the pieces' in sample order.  Raises FloatingPointError if any gradient
+    goes non-finite.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    if cache.halves is None:
-        grads = _backward_body(params, cache, upstream)
-    else:
-        head_cache, tail_cache = cache.halves
-        first = len(head_cache.patches)
-        head, tail = _in_halves(
-            _backward_body,
-            (params, head_cache, upstream[:first]),
-            (params, tail_cache, upstream[first:]),
-        )
-        grads = {name: head[name] + tail[name] for name in head}
+    slices = _pieces(params.arch, len(cache.patches))
+    first, *rest = _run_pieces(
+        _backward_body,
+        [
+            (params, piece, upstream[samples])
+            for piece, samples in zip(cache.pieces, slices, strict=True)
+        ],
+    )
+    grads = {name: sum((part[name] for part in rest), grad) for name, grad in first.items()}
     for name, grad in grads.items():
         if not np.isfinite(grad).all():
             raise FloatingPointError(f"non-finite gradient for {name}")
@@ -893,9 +892,9 @@ def backward_batch(
 
 
 def _backward_body(
-    params: ModelParams, cache: ForwardCache, upstream: np.ndarray
+    params: ModelParams, cache: _PieceCache, upstream: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """:func:`backward_batch` over the cache of one forward body."""
+    """:func:`backward_batch` over one piece's cache."""
     arch = params.arch
     grad_window_caps, grad_class_matrices = _class_backward(
         upstream,
@@ -982,8 +981,8 @@ def encode_checkpoint(
     """The bytes of a checkpoint file: the run's settings text, params as
     float32, and the training-step counter and RNG seed.  A parameter that
     is not finite in float32 raises ``ValueError``."""
-    if step < 0 or seed < 0:
-        raise ValueError("step and seed must be non-negative")
+    if not (0 <= step < 2**64 and 0 <= seed < 2**64):
+        raise ValueError("step and seed must lie in [0, 2**64)")
     text = settings.encode("utf-8")
     header = (
         CHECKPOINT_MAGIC

@@ -19,10 +19,9 @@ from .layers import (
     MINIATURE_ARCHITECTURE,
     ModelParams,
     PARAM_GROUPS,
-    _BLOCK_MULTIPLE,
-    _budget_samples,
     backward_batch,
     forward_batch,
+    inference_block,
     init_params,
     predict_classes,
 )
@@ -69,6 +68,8 @@ class TrainConfig:
             raise ValueError("Adam betas must lie in [0, 1)")
         if self.adam_eps <= 0:
             raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -151,16 +152,6 @@ class TrainingDiverged(RuntimeError):
         self.batch_index = batch_index
 
 
-def _inference_block(arch: Architecture, batch_size: int) -> int:
-    """Pixels per ``forward_batch`` call at inference: twice the samples
-    whose prediction tensor fits the layers' ``_PREDICTION_BUDGET``, rounded
-    down to a multiple of ``_BLOCK_MULTIPLE`` (at least one multiple) and
-    capped at ``batch_size``.  ``forward_batch`` runs such a block as two
-    halves of about the budget each, on two threads."""
-    fit = 2 * _budget_samples(arch)
-    return min(batch_size, max(_BLOCK_MULTIPLE, fit - fit % _BLOCK_MULTIPLE))
-
-
 def predict_coords(
     params: ModelParams,
     cube: HsiCube,
@@ -171,7 +162,7 @@ def predict_coords(
     """Predicted 1-based class ids for the pixels at ``coords``.
 
     ``batch_size`` caps the pixels per ``forward_batch`` call; the model runs
-    in blocks of ``_inference_block`` pixels.  Samples do not interact, so a
+    in blocks of ``inference_block`` pixels.  Samples do not interact, so a
     block computes what a whole-batch call computes.  Where a call's sample
     count is not a multiple of 8, BLAS may round a product differently, so
     activations can differ from an unblocked run by rounding error; class
@@ -183,7 +174,7 @@ def predict_coords(
         raise ValueError(
             f"model expects {params.arch.channels} channels, cube has {cube.channels}"
         )
-    block = _inference_block(params.arch, batch_size)
+    block = inference_block(params.arch, batch_size)
     coords = np.asarray(coords, dtype=np.int64)
     out = np.zeros(len(coords), dtype=np.int64)
     for start in range(0, len(coords), block):

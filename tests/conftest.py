@@ -41,11 +41,9 @@ DISTINCT_ARCHITECTURE = Architecture(
 
 def shrink_prediction_budget(samples, monkeypatch, arch=MINIATURE_ARCHITECTURE):
     """Shrink the model's prediction budget so that ``samples`` samples of
-    ``arch`` fit it and larger calls run as two halves."""
-    sample_bytes = 8 * (
-        arch.window_count * arch.window_positions * arch.num_classes * arch.class_capsule_dim
-    )
-    monkeypatch.setattr(hsicaps.layers, "_PREDICTION_BUDGET", samples * sample_bytes)
+    ``arch`` fit it and larger calls run as two pieces."""
+    budget = samples * hsicaps.layers._prediction_bytes(arch)
+    monkeypatch.setattr(hsicaps.layers, "_PREDICTION_BUDGET", budget)
 
 # float32 bit patterns a corrupt container payload may hold; casting the
 # signalling NaN to float64 raises numpy's "invalid value" warning

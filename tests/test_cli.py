@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hsicaps.cli
 import hsicaps.data
 import hsicaps.training
 from hsicaps.cli import (
@@ -272,6 +273,62 @@ class TestTrainCommand:
         config_path.write_text("no_such_key = 5\n")
         assert main(["train", str(config_path)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_outside_u64_rejected_before_training(
+        self, seed, toy_cube_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(hsicaps.cli, "load_cube", lambda path: pytest.fail("cube read"))
+        config_path = tmp_path / "seed.cfg"
+        config_path.write_text(
+            f"cube = {toy_cube_path}\noutput_dir = {tmp_path / 'out'}\nseed = {seed}\n"
+        )
+        assert main(["train", str(config_path)]) == 1
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestNonFiniteSettings:
+    """NaN and the infinities are refused wherever a float setting enters."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("learning_rate", "nan"),
+            ("whiten_epsilon", "nan"),
+            ("train_fraction", "nan"),
+            ("adam_eps", "inf"),
+            ("whiten_epsilon", "inf"),
+            ("margin_upper", "-inf"),
+        ],
+    )
+    def test_config_value(self, key, value, toy_cube_path, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(
+            f"cube = {toy_cube_path}\noutput_dir = {tmp_path / 'out'}\n"
+            f"epochs = 1\n{key} = {value}\n"
+        )
+        assert main(["train", str(config_path)]) == 1
+        assert "config line 4: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["whiten", "CUBE", "-o", "OUT", "--epsilon", "inf"],
+            ["split", "CUBE", "--train-fraction", "nan"],
+            ["split", "CUBE", "--val-fraction", "inf"],
+            ["gradcheck", "--epsilon", "inf"],
+            ["gradcheck", "--tolerance", "nan"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_flag(self, argv, toy_cube_path, tmp_path, capsys):
+        out = tmp_path / "out.hsic"
+        argv = [{"CUBE": toy_cube_path, "OUT": str(out)}.get(a, a) for a in argv]
+        assert main(argv) == 1
+        assert f"invalid finite_float value: '{argv[-1]}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalCommand:

@@ -4,6 +4,7 @@ import dataclasses
 import multiprocessing
 import struct
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from hsicaps.cli import RunConfig
 from hsicaps.layers import (
     _ARCH_STRUCT,
     ARCH_WIRE_FIELDS,
-    _split_point,
+    _pieces,
     MINIATURE_ARCHITECTURE,
     PARAM_FIELDS,
     Architecture,
@@ -500,7 +501,7 @@ class TestModelEngine:
         acts2, cache = forward_batch(params, patches, keep_cache=True)
         np.testing.assert_array_equal(acts, acts2)
         assert cache is not None
-        assert len(cache.routing) == 3
+        assert len(cache.pieces[0].routing) == 3
 
     def test_batch_matches_single_sample_pipeline(self):
         for arch in (MINIATURE_ARCHITECTURE, DISTINCT_ARCHITECTURE):
@@ -583,21 +584,28 @@ class TestModelEngine:
 
 
 class TestHalves:
-    """A call over the prediction budget runs as two halves, the second on
+    """A call over the prediction budget runs as two pieces, the second on
     the worker thread."""
 
     def test_split_point(self, monkeypatch):
+        def cut(arch, batch):
+            """Samples in the first piece; a second piece takes the rest."""
+            first, *rest = _pieces(arch, batch)
+            assert first.start == 0
+            assert rest == ([slice(first.stop, batch)] if first.stop < batch else [])
+            return first.stop
+
         reference = Architecture(channels=200, num_classes=16)
         # the train-ip batch splits in two; 11 samples of 352 KiB fit 4 MiB
-        assert _split_point(reference, 64) == 32
-        assert _split_point(reference, 11) == 11
-        assert _split_point(reference, 12) == 8
+        assert cut(reference, 64) == 32
+        assert cut(reference, 11) == 11
+        assert cut(reference, 12) == 8
         # train-toy batches and map blocks, and the gradient check, never split
-        assert _split_point(Architecture(channels=32, num_classes=3), 512) == 512
-        assert _split_point(MINIATURE_ARCHITECTURE, 2) == 2
+        assert cut(Architecture(channels=32, num_classes=3), 512) == 512
+        assert cut(MINIATURE_ARCHITECTURE, 2) == 2
         # cut at the multiple of 8 nearest half the batch, never at 0
         shrink_prediction_budget(8, monkeypatch)
-        cuts = {b: _split_point(MINIATURE_ARCHITECTURE, b) for b in (8, 9, 23, 24, 37, 64, 88)}
+        cuts = {b: cut(MINIATURE_ARCHITECTURE, b) for b in (8, 9, 23, 24, 37, 64, 88)}
         assert cuts == {8: 8, 9: 8, 23: 8, 24: 16, 37: 16, 64: 32, 88: 48}
 
     @pytest.mark.parametrize("count", [24, 37])
@@ -613,7 +621,7 @@ class TestHalves:
             return acts, loss, cache, backward_batch(params, cache, grad)
 
         whole_acts, whole_loss, whole_cache, whole_grads = step()
-        assert whole_cache.halves is None
+        assert len(whole_cache.pieces) == 1
 
         bodies = []
         forward_body = hsicaps.layers._forward_body
@@ -631,7 +639,7 @@ class TestHalves:
             [(threading.current_thread().name, first), ("hsicaps-half_0", count - first)]
         )
         assert len(cache.patches) == count
-        assert [len(half.patches) for half in cache.halves] == [first, count - first]
+        assert [len(piece.window_caps) for piece in cache.pieces] == [first, count - first]
         assert np.array_equal(acts, whole_acts)
         assert loss == whole_loss
         for name, grad in grads.items():
@@ -652,10 +660,27 @@ class TestHalves:
             child.kill()
         assert child.exitcode == 0
 
+    def test_first_piece_error_wins_after_the_worker_piece_ends(self, monkeypatch):
+        ended = []
+
+        def failing_body(params, patches, *args):
+            if threading.current_thread().name.startswith("hsicaps-half"):
+                time.sleep(0.2)
+                ended.append(len(patches))
+                raise FloatingPointError("second piece")
+            raise FloatingPointError("first piece")
+
+        monkeypatch.setattr(hsicaps.layers, "_forward_body", failing_body)
+        shrink_prediction_budget(8, monkeypatch)
+        patches = np.random.default_rng(5).normal(size=(16, 3, 3, 24))
+        with pytest.raises(FloatingPointError, match="first piece"):
+            forward_batch(miniature_params(), patches)
+        assert ended == [8]
+
     def test_worker_half_keeps_the_callers_errstate(self, monkeypatch):
         shrink_prediction_budget(8, monkeypatch)
         patches = np.random.default_rng(5).normal(size=(16, 3, 3, 24))
-        patches[8:] *= 1e300  # only the worker's half overflows
+        patches[8:] *= 1e300  # only the worker's piece overflows
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
                 forward_batch(miniature_params(), patches)
@@ -779,6 +804,10 @@ class TestCheckpoint:
             read_checkpoint(str(bad))
 
     def test_rejects_negative_counters(self, tmp_path):
+        # and counters past the u64 trailer fields
         params = self.float32_params()
-        with pytest.raises(ValueError):
-            save_checkpoint(str(tmp_path / "m.cckp"), params, step=-1, seed=0)
+        path = tmp_path / "m.cckp"
+        for step, seed in [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)]:
+            with pytest.raises(ValueError, match="step and seed"):
+                save_checkpoint(str(path), params, step=step, seed=seed)
+        assert not path.exists()

@@ -20,6 +20,7 @@ from hsicaps.layers import (
     MINIATURE_ARCHITECTURE,
     Architecture,
     forward_batch,
+    inference_block,
     init_params,
     predict_classes,
 )
@@ -28,7 +29,6 @@ from hsicaps.training import (
     TrainConfig,
     TrainingDiverged,
     TrainRecord,
-    _inference_block,
     adam_step,
     evaluate,
     predict_coords,
@@ -74,6 +74,8 @@ class TestTrainConfig:
             {"adam_beta1": 1.0},
             {"adam_beta2": -0.1},
             {"adam_eps": 0.0},
+            {"seed": -1},
+            {"seed": 2**64},
         ],
     )
     def test_validation(self, kwargs):
@@ -208,7 +210,7 @@ class TestBlockedInference:
         rng = np.random.default_rng(1)
         cube = HsiCube(rng.normal(size=(23, 23, channels)), np.zeros((23, 23)))
         coords = np.argwhere(np.ones((23, 23), dtype=bool))[:count]
-        block = _inference_block(arch, count)
+        block = inference_block(arch, count)
         assert block < count
 
         blocks = []
@@ -240,17 +242,17 @@ class TestBlockedInference:
         # the toy shape's 3 KiB samples fit a whole batch in one block
         toy = Architecture(channels=32, num_classes=3)
         for batch_size in (64, 256, 512):
-            assert _inference_block(toy, batch_size) == batch_size
-        # a block holds two halves of the 4 MiB budget: 2 * 11 samples of
+            assert inference_block(toy, batch_size) == batch_size
+        # a block holds two pieces of the 4 MiB budget: 2 * 11 samples of
         # 352 KiB at 200/16 and 2 * 45 of 90 KiB at 103/9, rounded down to
         # multiples of 8
         reference = Architecture(channels=200, num_classes=16)
-        assert _inference_block(reference, 256) == 16
-        assert _inference_block(Architecture(channels=103, num_classes=9), 512) == 88
+        assert inference_block(reference, 256) == 16
+        assert inference_block(Architecture(channels=103, num_classes=9), 512) == 88
         # batch_size stays the cap, and a block never drops below 8 samples
-        assert _inference_block(reference, 5) == 5
+        assert inference_block(reference, 5) == 5
         huge = Architecture(channels=200, num_classes=16, class_capsule_dim=4096)
-        assert _inference_block(huge, 256) == 8
+        assert inference_block(huge, 256) == 8
 
 
 class TestTrain:
@@ -352,7 +354,7 @@ class TestTrain:
 
 class TestTrainInHalves:
     """Training on the miniature setup with the prediction budget shrunk to
-    8 samples, so every 16-sample batch runs as two halves."""
+    8 samples, so every 16-sample batch runs as two pieces."""
 
     CONFIG = TrainConfig(epochs=3, learning_rate=0.01, batch_size=16, seed=2)
 
@@ -380,20 +382,20 @@ class TestTrainInHalves:
             "backward_batch",
             lambda *args: calls.append(None) or backward(*args),
         )
-        worker_halves = []
+        worker_pieces = []
         body = hsicaps.layers._backward_body
 
         def failing_body(*args):
             if threading.current_thread() is not threading.main_thread():
-                worker_halves.append(None)
-                if len(worker_halves) == batches + 2:
+                worker_pieces.append(None)
+                if len(worker_pieces) == batches + 2:
                     raise FloatingPointError("injected")
             return body(*args)
 
         monkeypatch.setattr(hsicaps.layers, "_backward_body", failing_body)
         with pytest.raises(TrainingDiverged) as info:
             train(cube, split, self.CONFIG, MINIATURE_ARCHITECTURE)
-        # the worker's half of the last backward call raised
+        # the worker's piece of the last backward call raised
         failed = len(calls) - 1
         assert (info.value.epoch, info.value.batch_index) == (
             failed // batches + 1,
