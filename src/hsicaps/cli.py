@@ -153,6 +153,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def seed_int(text: str) -> int:
+    """``int(text)`` if ``TrainConfig`` takes it as a seed, else a flag error."""
+    try:
+        return TrainConfig(seed=int(text)).seed
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _parse_value(text: str, target_type: type):
     if target_type is bool:
         word = text.strip().lower()
@@ -484,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cube")
     p.add_argument("--train-fraction", type=finite_float, default=RunConfig.train_fraction)
     p.add_argument("--val-fraction", type=finite_float, default=RunConfig.val_fraction)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--seed", type=seed_int, default=RunConfig.seed)
     p.add_argument("-o", "--output", default="")
     p.set_defaults(func=cmd_split)
 
@@ -505,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_param_count)
 
     p = sub.add_parser("gradcheck", help="finite-difference the backward pass")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--epsilon", type=finite_float, default=1e-5)
     p.add_argument("--tolerance", type=finite_float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)

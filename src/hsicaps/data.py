@@ -173,16 +173,15 @@ def float32_payload(values: np.ndarray, name: str) -> bytes:
     return stored.tobytes()
 
 
-def save_cube(cube: HsiCube, path: str, include_labels: bool | None = None) -> None:
+def save_cube(cube: HsiCube, path: str) -> None:
     """Write a cube to the binary container.
 
     Values are stored as little-endian float32 in (row, col, channel) order,
-    labels as little-endian uint16.  ``include_labels=None`` writes labels
-    exactly when any pixel is labeled.  A value that is not finite in
-    float32 raises ``ValueError`` before anything is written.
+    labels as little-endian uint16, and labels are stored exactly when some
+    pixel is labeled.  A value that is not finite in float32 raises
+    ``ValueError`` before anything is written.
     """
-    if include_labels is None:
-        include_labels = bool(cube.labels.any())
+    include_labels = bool(cube.labels.any())
     if include_labels and cube.num_classes() > np.iinfo(np.uint16).max:
         raise ValueError("label ids exceed the uint16 storage range")
     header = CUBE_MAGIC + _HEADER.pack(
@@ -479,33 +478,26 @@ def make_synthetic_cube(
     *,
     noise_sigma: float = 0.25,
     seed: int = 0,
-    band_axis: int = 0,
 ) -> HsiCube:
     """Fully labeled synthetic scene of smooth spectral prototypes in stripes.
 
     Class c's prototype is a Gaussian bump centered at a distinct wavelength;
     every pixel is its class prototype plus iid Gaussian noise.  Classes are
-    laid out as equal stripes along ``band_axis`` (0 = horizontal bands,
-    1 = vertical), so the cube is separable by spectrum alone at moderate
-    noise while patches near stripe boundaries still mix classes.
+    laid out as equal horizontal stripes, top to bottom, so the cube is
+    separable by spectrum alone at moderate noise while patches near stripe
+    boundaries still mix classes.
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
-    if band_axis not in (0, 1):
-        raise ValueError(f"band_axis must be 0 or 1, got {band_axis}")
     rng = np.random.default_rng(seed)
     grid = np.arange(channels, dtype=np.float64)
     centers = (np.arange(num_classes) + 0.5) * channels / num_classes
     bump_width = channels / (2.5 * num_classes)
     prototypes = np.exp(-0.5 * ((grid - centers[:, None]) / bump_width) ** 2)
 
-    extent = height if band_axis == 0 else width
     stripe = np.minimum(
-        np.arange(extent) * num_classes // extent, num_classes - 1
+        np.arange(height) * num_classes // height, num_classes - 1
     ).astype(np.int32)
-    if band_axis == 0:
-        labels = np.repeat(stripe[:, None] + 1, width, axis=1)
-    else:
-        labels = np.repeat(stripe[None, :] + 1, height, axis=0)
+    labels = np.repeat(stripe[:, None] + 1, width, axis=1)
     values = prototypes[labels - 1] + rng.normal(0.0, noise_sigma, (height, width, channels))
     return HsiCube(values, labels)

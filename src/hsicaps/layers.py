@@ -102,9 +102,8 @@ class Architecture:
             raise ValueError(f"patch_size must be odd, got {self.patch_size}")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
-        # both derived lengths must be valid; raises if a kernel overruns
-        conv1d_output_length(self.channels, self.primary_kernel_size, self.primary_stride)
-        conv1d_output_length(self.primary_positions, self.window_size, self.window_stride)
+        # raises if either spectral kernel overruns its input
+        self.window_positions
 
     @property
     def primary_filters(self) -> int:
@@ -114,12 +113,12 @@ class Architecture:
     @property
     def primary_positions(self) -> int:
         """Spectral positions after the strided 1D convolution."""
-        return (self.channels - self.primary_kernel_size) // self.primary_stride + 1
+        return conv1d_output_length(self.channels, self.primary_kernel_size, self.primary_stride)
 
     @property
     def window_positions(self) -> int:
         """Spectral positions after the strided capsule convolution."""
-        return (self.primary_positions - self.window_size) // self.window_stride + 1
+        return conv1d_output_length(self.primary_positions, self.window_size, self.window_stride)
 
     def layer_param_counts(self) -> dict[str, int]:
         """Trainable parameter count per layer, biases included."""
@@ -277,8 +276,8 @@ def init_params(
     return ModelParams(arch, **arrays)
 
 
-def squash(vectors: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shrink each vector onto the open unit ball, keeping its direction.
+def squash(vectors: np.ndarray) -> np.ndarray:
+    """Shrink each last-axis vector onto the open unit ball, keeping its direction.
 
     A vector of norm h maps to norm h^2 / (1 + h^2): near-zero vectors stay
     near zero, long vectors approach (but never reach) length 1.  The
@@ -286,13 +285,11 @@ def squash(vectors: np.ndarray, axis: int = -1) -> np.ndarray:
     special case.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    norm = np.linalg.norm(vectors, axis=axis, keepdims=True)
+    norm = np.linalg.norm(vectors, axis=-1, keepdims=True)
     return vectors * (norm / (1.0 + norm * norm))
 
 
-def squash_backward(
-    upstream: np.ndarray, vectors: np.ndarray, axis: int = -1
-) -> np.ndarray:
+def squash_backward(upstream: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Exact vector-Jacobian product of :func:`squash` at ``vectors``.
 
     With a(h) = h / (1 + h^2), the Jacobian is a(h) I + (a'(h)/h) v v^T; the
@@ -300,14 +297,14 @@ def squash_backward(
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     vectors = np.asarray(vectors, dtype=np.float64)
-    norm = np.linalg.norm(vectors, axis=axis, keepdims=True)
+    norm = np.linalg.norm(vectors, axis=-1, keepdims=True)
     norm_sq = norm * norm
     scale = norm / (1.0 + norm_sq)
     scale_deriv = (1.0 - norm_sq) / (1.0 + norm_sq) ** 2
     inv_norm = np.divide(
         1.0, norm, out=np.zeros_like(norm), where=norm > 0
     )
-    dot = np.sum(vectors * upstream, axis=axis, keepdims=True)
+    dot = np.sum(vectors * upstream, axis=-1, keepdims=True)
     return scale * upstream + scale_deriv * inv_norm * dot * vectors
 
 
@@ -341,29 +338,23 @@ def _conv_forward(maps: np.ndarray, kernels: np.ndarray, bias: np.ndarray, strid
     return windows, pre + bias[:, None, None]
 
 
-def _conv_param_grads(grad_pre: np.ndarray, windows: np.ndarray):
-    """Gradients wrt (kernels, bias)."""
+def _conv_backward(
+    grad_pre: np.ndarray, windows: np.ndarray, kernels=None, stride: int = 1, length: int = 0
+):
+    """Adjoint of :func:`_conv_forward`: gradients wrt (kernels, bias, the
+    (in_maps, B, length) input), the last None unless ``kernels`` is given.
+    The input gradient scatter-adds each kernel offset's window gradients."""
     grad_kernels = np.tensordot(grad_pre, windows, axes=([1, 2], [1, 2]))
-    return grad_kernels, grad_pre.sum(axis=(1, 2))
-
-
-def _conv_input_grad(
-    grad_pre: np.ndarray, kernels: np.ndarray, stride: int, length: int
-) -> np.ndarray:
-    """Gradient wrt the (in_maps, B, length) input."""
+    grad_bias = grad_pre.sum(axis=(1, 2))
+    if kernels is None:
+        return grad_kernels, grad_bias, None
     grad_windows = np.tensordot(kernels, grad_pre, axes=(0, 0))
-    return _fold_windows(grad_windows, length, stride)
-
-
-def _fold_windows(grad_windows: np.ndarray, length: int, stride: int) -> np.ndarray:
-    """Adjoint of the window view in :func:`_conv_forward`: scatter-add
-    (in_maps, kernel, B, positions) window gradients onto (in_maps, B, length)."""
     maps, kernel, batch, count = grad_windows.shape
-    out = np.zeros((maps, batch, length))
+    grad_input = np.zeros((maps, batch, length))
     span = (count - 1) * stride + 1
     for j in range(kernel):
-        out[..., j : j + span : stride] += grad_windows[:, j]
-    return out
+        grad_input[..., j : j + span : stride] += grad_windows[:, j]
+    return grad_kernels, grad_bias, grad_input
 
 
 def _window_kernels(tensors: np.ndarray) -> np.ndarray:
@@ -683,10 +674,10 @@ def dynamic_routing(
 # batched model engine
 
 
-# Bytes of float64 predictions one forward or backward piece may hold.
-# Routing reads the prediction tensor 2·iters − 1 times; a piece this size
-# keeps it in cache between those passes instead of streaming it from
-# memory on each one.
+# Bytes of float64 predictions above which a call is split in two, the second
+# piece on the worker thread; an inference block is two budgets of samples.
+# It is not a cache size: a piece can hold more (a batch of 64 at 200/16 runs
+# two 11 MiB pieces), and blocks of 1 to 64 samples showed no speed trend.
 _PREDICTION_BUDGET = 4 * 2**20
 # Batches are cut at a multiple of this many samples.  OpenBLAS may round the
 # output columns of a partial tile at the end of a call differently; pieces
@@ -868,15 +859,22 @@ def backward_batch(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of sum(loss per sample) wrt every parameter array.
 
-    ``upstream`` is dL/d(activations), shaped (B, classes, out_dim); any
-    per-batch averaging belongs in the loss gradient.  Returns a dict keyed
-    like :attr:`ModelParams` fields.  Backward runs as the pieces the
-    forward pass ran as, on as many threads, and each gradient is the sum of
-    the pieces' in sample order.  Raises FloatingPointError if any gradient
-    goes non-finite.
+    ``upstream`` is dL/d(activations), shaped (B, classes, out_dim) or a
+    ValueError is raised; any per-batch averaging belongs in the loss
+    gradient.  Returns a dict keyed like :attr:`ModelParams` fields.  Backward
+    runs as the pieces the forward pass ran as, on as many threads, and each
+    gradient is the sum of the pieces' in sample order.  Raises
+    FloatingPointError if any gradient goes non-finite.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    slices = _pieces(params.arch, len(cache.patches))
+    arch = params.arch
+    expected = (len(cache.patches), arch.num_classes, arch.class_capsule_dim)
+    if upstream.shape != expected:
+        raise ValueError(
+            f"upstream must be (B, classes, class_capsule_dim) = {expected}, "
+            f"got {upstream.shape}"
+        )
+    slices = _pieces(arch, len(cache.patches))
     first, *rest = _run_pieces(
         _backward_body,
         [
@@ -907,28 +905,23 @@ def _backward_body(
     grad_pre_window = grad_pre_window.reshape(
         len(upstream), arch.window_positions, -1
     ).transpose(2, 0, 1)
-    grad_window_kernels, grad_window_bias = _conv_param_grads(
-        grad_pre_window, cache.caps_windows
+    grad_window_kernels, grad_window_bias, grad_primary_maps = _conv_backward(
+        grad_pre_window,
+        cache.caps_windows,
+        _window_kernels(params.window_tensors),
+        arch.window_stride,
+        arch.primary_positions,
     )
-    grad_pre_primary = relu_grad(
-        cache.pre_primary,
-        _conv_input_grad(
-            grad_pre_window,
-            _window_kernels(params.window_tensors),
-            arch.window_stride,
-            arch.primary_positions,
-        ),
+    grad_pre_primary = relu_grad(cache.pre_primary, grad_primary_maps)
+    grad_primary_kernels, grad_primary_bias, grad_spatial_maps = _conv_backward(
+        grad_pre_primary,
+        cache.spatial_windows,
+        params.primary_kernels,
+        arch.primary_stride,
+        arch.channels,
     )
-    grad_primary_kernels, grad_primary_bias = _conv_param_grads(
-        grad_pre_primary, cache.spatial_windows
-    )
-    grad_pre_spatial = relu_grad(
-        cache.pre_spatial,
-        _conv_input_grad(
-            grad_pre_primary, params.primary_kernels, arch.primary_stride, arch.channels
-        ),
-    )
-    grad_spatial_kernels, grad_spatial_bias = _conv_param_grads(
+    grad_pre_spatial = relu_grad(cache.pre_spatial, grad_spatial_maps)
+    grad_spatial_kernels, grad_spatial_bias, _ = _conv_backward(
         grad_pre_spatial, cache.patch_windows
     )
 

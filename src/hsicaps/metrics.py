@@ -69,23 +69,19 @@ def margin_loss(
     num_classes = activations.shape[0]
     if not 1 <= true_class <= num_classes:
         raise ValueError(f"true_class must be in [1, {num_classes}], got {true_class}")
-    loss, grad = margin_loss_batch(
-        activations[None], np.array([true_class]), config, reduce_mean=False
-    )
-    return float(loss), grad[0]
+    loss, grad = margin_loss_batch(activations[None], np.array([true_class]), config)
+    return loss, grad[0]
 
 
 def margin_loss_batch(
     activations: np.ndarray,
     true_classes: np.ndarray,
     config: MarginConfig = MarginConfig(),
-    reduce_mean: bool = True,
 ) -> tuple[float, np.ndarray]:
-    """Batched margin loss: mean (or sum) over samples, plus gradient.
+    """Batched margin loss: the mean over samples, plus its gradient.
 
     ``activations`` is (B, classes, dim), ``true_classes`` (B,) 1-based.  The
-    returned gradient matches the returned scalar, i.e. it already carries the
-    1/B of the mean when ``reduce_mean``.
+    returned gradient is that of the mean, so it already carries the 1/B.
     """
     activations = np.asarray(activations, dtype=np.float64)
     true_classes = np.asarray(true_classes)
@@ -117,9 +113,7 @@ def margin_loss_batch(
     )
     grad = (d_length * inv_length)[..., None] * activations
 
-    if reduce_mean:
-        return float(per_sample.mean()), grad / batch
-    return float(per_sample.sum()), grad
+    return float(per_sample.mean()), grad / batch
 
 
 @dataclass
@@ -164,14 +158,6 @@ class ConfusionMatrix:
                 raise ValueError(f"class ids must be in [1, {self.num_classes}]")
         np.add.at(self.counts, (true_classes - 1, predicted_classes - 1), 1)
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        """Elementwise sum with another matrix over the same classes."""
-        if other.num_classes != self.num_classes:
-            raise ValueError("cannot merge matrices over different class counts")
-        merged = ConfusionMatrix(self.num_classes)
-        merged.counts = self.counts + other.counts
-        return merged
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())
@@ -206,23 +192,17 @@ class ConfusionMatrix:
         return MetricsResult(overall, average, float(kappa), per_class, excluded)
 
 
-def format_metrics_table(
-    cm: ConfusionMatrix,
-    result: MetricsResult | None = None,
-    class_names: dict[int, str] | None = None,
-) -> str:
-    """Human-readable report: one line per class, then the three summaries."""
+def format_metrics_table(cm: ConfusionMatrix, result: MetricsResult | None = None) -> str:
+    """Human-readable report: one line per class, named ``class_N``, then the
+    three summaries."""
     result = result or cm.metrics()
-    names = class_names or {}
     row_sums = cm.counts.sum(axis=1)
     lines = [f"{'class':>5}  {'name':<12}  {'support':>7}  {'accuracy':>8}"]
     for i in range(cm.num_classes):
         cid = i + 1
         acc = result.per_class[i]
         acc_text = f"{acc:8.4f}" if np.isfinite(acc) else "       -"
-        lines.append(
-            f"{cid:>5}  {names.get(cid, f'class_{cid}'):<12}  {row_sums[i]:>7}  {acc_text}"
-        )
+        lines.append(f"{cid:>5}  {f'class_{cid}':<12}  {row_sums[i]:>7}  {acc_text}")
     lines.append("")
     lines.append(f"overall_accuracy  {result.overall_accuracy:.6f}")
     lines.append(f"average_accuracy  {result.average_accuracy:.6f}")
@@ -235,18 +215,13 @@ def format_metrics_table(
     return "\n".join(lines) + "\n"
 
 
-def format_metrics_kv(
-    cm: ConfusionMatrix,
-    result: MetricsResult | None = None,
-    class_names: dict[int, str] | None = None,
-) -> str:
+def format_metrics_kv(cm: ConfusionMatrix, result: MetricsResult | None = None) -> str:
     """Machine-readable ``key = value`` report with full float precision."""
     result = result or cm.metrics()
-    names = class_names or {}
     lines = []
     for i in range(cm.num_classes):
         cid = i + 1
-        lines.append(f"class_{cid}_name = {names.get(cid, f'class_{cid}')}")
+        lines.append(f"class_{cid}_name = class_{cid}")
         acc = result.per_class[i]
         lines.append(f"class_{cid}_accuracy = {acc!r}")
     lines.append(f"oa = {result.overall_accuracy!r}")

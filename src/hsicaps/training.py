@@ -303,13 +303,12 @@ def run_gradient_check(
     seed: int = 0,
     epsilon: float = 1e-5,
     routing_iters: int = TrainConfig.routing_iters,
-    num_samples: int = 2,
 ) -> dict[str, GradCheckReport]:
     """Finite-difference the whole backward pass, one report per parameter
     family (the four weight tensors, plus all biases as one family).
 
     Builds a freshly initialized model on ``arch`` (the miniature setup by
-    default), draws a random patch batch and random labels, computes the
+    default), draws two random patches and random labels, computes the
     analytic gradients once, and then checks every coordinate of every array
     against central differences of the mean margin loss.
     """
@@ -317,10 +316,8 @@ def run_gradient_check(
         arch = MINIATURE_ARCHITECTURE
     rng = np.random.default_rng(seed)
     params = init_params(arch, rng)
-    patches = rng.normal(
-        0.0, 1.0, (num_samples, arch.patch_size, arch.patch_size, arch.channels)
-    )
-    labels = rng.integers(1, arch.num_classes + 1, num_samples)
+    patches = rng.normal(0.0, 1.0, (2, arch.patch_size, arch.patch_size, arch.channels))
+    labels = rng.integers(1, arch.num_classes + 1, 2)
 
     activations, cache = forward_batch(params, patches, routing_iters, keep_cache=True)
     _, loss_grad = margin_loss_batch(activations, labels)

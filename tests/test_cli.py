@@ -193,6 +193,22 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--tolerance", "1e-12"]) == 2
 
 
+class TestSeedFlags:
+    """``split --seed`` and ``gradcheck --seed`` take the seeds training takes."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["split", "gradcheck"])
+    def test_seed_outside_u64_is_a_flag_error(
+        self, command, seed, toy_cube_path, tmp_path, capsys
+    ):
+        out = tmp_path / "split.tsv"
+        args = [toy_cube_path, "-o", str(out)] if command == "split" else []
+        assert main([command, *args, "--seed", str(seed)]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "[0, 2**64)" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def pipeline(toy_cube_path, tmp_path_factory):
     """One full CLI training run on the toy scene."""

@@ -352,5 +352,3 @@ class TestSyntheticCube:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_synthetic_cube(8, 8, 8, 1)
-        with pytest.raises(ValueError):
-            make_synthetic_cube(8, 8, 8, 2, band_axis=2)

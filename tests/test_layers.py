@@ -2,6 +2,7 @@
 
 import dataclasses
 import multiprocessing
+import re
 import struct
 import threading
 import time
@@ -233,13 +234,6 @@ class TestSquash:
         n1 = np.linalg.norm(squash(h1 * direction))
         n2 = np.linalg.norm(squash(h2 * direction))
         assert (n1 <= n2) == (h1 * np.float64(1.0) <= h2) or np.isclose(n1, n2)
-
-    def test_axis_argument(self):
-        rng = np.random.default_rng(1)
-        block = rng.normal(size=(3, 4))
-        np.testing.assert_allclose(
-            squash(block, axis=0), squash(block.T, axis=-1).T, atol=1e-15
-        )
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -551,6 +545,16 @@ class TestModelEngine:
         grads = backward_batch(params, cache, np.zeros((2, 3, 4)))
         for name, grad in grads.items():
             assert not grad.any(), name
+
+    @pytest.mark.parametrize("shape", [(5, 3, 1), (1, 3, 4), (3, 4)], ids=str)
+    def test_upstream_shape_checked_before_any_piece(self, shape, monkeypatch):
+        params = miniature_params()
+        _, cache = forward_batch(params, self.random_patches(5), keep_cache=True)
+        monkeypatch.setattr(
+            hsicaps.layers, "_backward_body", lambda *args: pytest.fail("piece ran")
+        )
+        with pytest.raises(ValueError, match=re.escape(f"(5, 3, 4), got {shape}")):
+            backward_batch(params, cache, np.ones(shape))
 
     def test_dead_feature_map_gets_no_gradient(self):
         params = miniature_params(1)
