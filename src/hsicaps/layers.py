@@ -29,10 +29,7 @@ shape, init and gradient-check family.
 from __future__ import annotations
 
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextvars import copy_context
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -40,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import float32_payload, write_atomic
-from .numerics import conv1d_output_length, relu, relu_grad
+from .numerics import conv1d_output_length, relu, relu_grad, run_pieces
 
 __all__ = [
     "Architecture",
@@ -677,7 +674,8 @@ def dynamic_routing(
 # Bytes of float64 predictions above which a call is split in two, the second
 # piece on the worker thread; an inference block is two budgets of samples.
 # It is not a cache size: a piece can hold more (a batch of 64 at 200/16 runs
-# two 11 MiB pieces), and blocks of 1 to 64 samples showed no speed trend.
+# two 11 MiB pieces).  Nor is it the fastest block: inference at 200/16 read
+# 1.8-1.9k px/s in blocks of 8, 2.3-2.7k in 16 (the rule's) and 2.6-3.0k in 32.
 _PREDICTION_BUDGET = 4 * 2**20
 # Batches are cut at a multiple of this many samples.  OpenBLAS may round the
 # output columns of a partial tile at the end of a call differently; pieces
@@ -685,20 +683,6 @@ _PREDICTION_BUDGET = 4 * 2**20
 # activations match one whole-batch call bit for bit.  Odd pieces at 200/16,
 # and most other sizes at 103/9, changed the last bit of some activations.
 _BLOCK_MULTIPLE = 8
-
-# A call over the budget runs its first piece on the calling thread and its
-# second on this one worker, whose thread starts on the first split call.
-# The pieces are numpy calls that release the GIL, so they run on two cores.
-# One worker, not a pool: each extra thread gets its own malloc arena.
-def _reset_worker() -> None:
-    """Make an unstarted worker; a forked child inherits none of its thread."""
-    global _WORKER
-    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hsicaps-half")
-
-
-_reset_worker()
-os.register_at_fork(after_in_child=_reset_worker)
-
 
 def _prediction_bytes(arch: Architecture) -> int:
     """Bytes of one sample's float64 predictions, one per class matrix row."""
@@ -723,19 +707,6 @@ def inference_block(arch: Architecture, batch_size: int) -> int:
     ``batch_size``, so a block runs as two pieces of about the budget each."""
     fit = 2 * (_PREDICTION_BUDGET // _prediction_bytes(arch))
     return min(batch_size, max(_BLOCK_MULTIPLE, fit - fit % _BLOCK_MULTIPLE))
-
-
-def _run_pieces(body, piece_args: list[tuple]) -> list:
-    """``body(*args)`` for each piece's arguments: the first on this thread,
-    a second on the worker under this thread's context, so ``np.errstate``
-    holds there too.  The worker's piece has ended when this returns or
-    raises; an exception in the first piece wins over one in the second."""
-    rest = [_WORKER.submit(copy_context().run, body, *args) for args in piece_args[1:]]
-    try:
-        first = body(*piece_args[0])
-    finally:
-        wait(rest)
-    return [first] + [future.result() for future in rest]
 
 
 class _PieceCache(NamedTuple):
@@ -795,7 +766,7 @@ def forward_batch(
             f"patches must be (B, {expected[0]}, {expected[1]}, {expected[2]}), "
             f"got {patches.shape}"
         )
-    outputs = _run_pieces(
+    outputs = run_pieces(
         _forward_body,
         [
             (params, patches[samples], routing_iters, keep_cache)
@@ -875,7 +846,7 @@ def backward_batch(
             f"got {upstream.shape}"
         )
     slices = _pieces(arch, len(cache.patches))
-    first, *rest = _run_pieces(
+    first, *rest = run_pieces(
         _backward_body,
         [
             (params, piece, upstream[samples])

@@ -1,14 +1,17 @@
 """Dense numerical primitives shared by every layer.
 
-Everything here is a pure function of float64 numpy arrays: the ReLU pair,
-the output-length law of valid-padding convolutions (nothing pads
-implicitly, so output lengths always follow
-``floor((length - kernel) / stride) + 1``), and a central-difference gradient
-checker used to validate the hand-written backward passes.
+The ReLU pair, the output-length law of valid-padding convolutions (nothing
+pads implicitly: ``floor((length - kernel) / stride) + 1``), a
+central-difference checker for the hand-written backward passes, and
+``run_pieces``, which runs model pieces and preprocessing row chunks on the
+calling thread and the package's one worker thread.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextvars import copy_context
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +23,7 @@ __all__ = [
     "finite_difference_check",
     "relu",
     "relu_grad",
+    "run_pieces",
 ]
 
 # Floor for the relative-error denominator so near-zero gradient pairs do not
@@ -115,3 +119,29 @@ def finite_difference_check(
         if rel > report.max_relative_error:
             report = GradCheckReport(rel, i, analytic, numeric)
     return report
+
+
+# The one worker, whose thread starts on first use, runs a call's second
+# piece; numpy releases the GIL, so the pieces run on two cores.  One worker,
+# not a pool: each extra thread gets its own malloc arena.
+def _reset_worker() -> None:
+    """Make an unstarted worker; a forked child inherits none of its thread."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hsicaps-half")
+
+
+_reset_worker()
+os.register_at_fork(after_in_child=_reset_worker)
+
+
+def run_pieces(body: Callable, piece_args: list[tuple]) -> list:
+    """``body(*args)`` for each piece's arguments: the first on this thread,
+    a second on the worker under this thread's context, so ``np.errstate``
+    holds there too.  The worker's piece has ended when this returns or
+    raises; an exception in the first piece wins over one in the second."""
+    rest = [_WORKER.submit(copy_context().run, body, *args) for args in piece_args[1:]]
+    try:
+        first = body(*piece_args[0])
+    finally:
+        wait(rest)
+    return [first] + [future.result() for future in rest]

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import hsicaps.data
 import hsicaps.layers
 from hsicaps.data import HsiCube, make_synthetic_cube, save_cube, stratified_split
 from hsicaps.layers import MINIATURE_ARCHITECTURE, Architecture
@@ -44,6 +45,13 @@ def shrink_prediction_budget(samples, monkeypatch, arch=MINIATURE_ARCHITECTURE):
     ``arch`` fit it and larger calls run as two pieces."""
     budget = samples * hsicaps.layers._prediction_bytes(arch)
     monkeypatch.setattr(hsicaps.layers, "_PREDICTION_BUDGET", budget)
+
+
+def shrink_row_chunks(rows, channels, monkeypatch):
+    """Shrink the preprocessing chunk so that it holds ``rows`` pixel rows of
+    a ``channels``-channel cube; a cube of more than two chunks then runs on
+    the calling thread and the worker."""
+    monkeypatch.setattr(hsicaps.data, "_CHUNK_BYTES", rows * 8 * channels)
 
 # float32 bit patterns a corrupt container payload may hold; casting the
 # signalling NaN to float64 raises numpy's "invalid value" warning

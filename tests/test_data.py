@@ -1,6 +1,10 @@
 """Cube container, file format, whitening, patches, and splits."""
 
+import multiprocessing
 import struct
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hsicaps.data
 from hsicaps.data import (
     CubeFormatError,
     HsiCube,
@@ -23,7 +28,12 @@ from hsicaps.data import (
     stratified_split,
 )
 
-from conftest import NON_FINITE_FLOAT32, UNSTORABLE_FLOAT64, nearest_centroid_accuracy
+from conftest import (
+    NON_FINITE_FLOAT32,
+    UNSTORABLE_FLOAT64,
+    nearest_centroid_accuracy,
+    shrink_row_chunks,
+)
 
 
 def random_cube(seed=0, height=6, width=5, channels=4, num_classes=3):
@@ -201,6 +211,172 @@ class TestWhitening:
         cube.values[0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             fit_whitening(cube)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=f"got {epsilon}"):
+            fit_whitening(self.correlated_cube(), epsilon=epsilon)
+
+
+def record_pieces(monkeypatch, worker_first=False):
+    """Record how many threads each row-chunk call runs on.  With
+    ``worker_first``, the calling thread of a two-thread call starts taking
+    chunks only after the worker has stopped, so the worker takes them all."""
+    run_pieces = hsicaps.data.run_pieces
+    calls = []
+
+    def recording(body, piece_args):
+        calls.append(len(piece_args))
+        if not worker_first or len(piece_args) == 1:
+            return run_pieces(body, piece_args)
+        drained = threading.Event()
+
+        def ordered(*args):
+            if threading.current_thread().name.startswith("hsicaps-half"):
+                try:
+                    return body(*args)
+                finally:
+                    drained.set()
+            assert drained.wait(timeout=30)
+            return body(*args)
+
+        return run_pieces(ordered, piece_args)
+
+    monkeypatch.setattr(hsicaps.data, "run_pieces", recording)
+    return calls
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _whiten(cube):
+    apply_whitening(cube, fit_whitening(cube))
+
+
+class TestRowChunks:
+    """load_cube, fit_whitening and apply_whitening run in chunks of pixel
+    rows, on the calling thread and the worker once there are over two; here
+    a chunk holds 7 rows of a 5-pixel-wide cube."""
+
+    # 10 and 15 pixels run as two chunks on the caller alone, 20, 50 and 95
+    # as 3, 7 and 14 on two threads; a last row of its own (15 and 50 pixels)
+    # joins the chunk before it, as one row would round differently
+    @pytest.mark.parametrize("height, threads", [(2, 1), (3, 1), (4, 2), (10, 2), (19, 2)])
+    def test_chunks_match_the_single_call_formulas(self, tmp_path, monkeypatch, height, threads):
+        path = tmp_path / "c.hsic"
+        save_cube(random_cube(height, height=height, width=5, channels=6), str(path))
+        calls = record_pieces(monkeypatch)
+        shrink_row_chunks(7, 6, monkeypatch)
+        loaded = load_cube(str(path))
+        transform = fit_whitening(loaded, 1e-5)
+        whitened = apply_whitening(loaded, transform)
+        assert calls == [threads] * 3
+
+        stored = np.frombuffer(path.read_bytes(), "<f4", count=height * 5 * 6, offset=18)
+        pixels = stored.astype(np.float64).reshape(-1, 6)
+        mean = pixels.mean(axis=0)
+        centered = pixels - mean
+        eigvals, basis = np.linalg.eigh(centered.T @ centered / len(pixels))
+        basis = basis[:, ::-1]
+        inv_sqrt_eigs = 1.0 / np.sqrt(np.clip(eigvals[::-1], 0.0, None) + 1e-5)
+        assert same_bytes(loaded.values.reshape(-1, 6), pixels)
+        assert same_bytes(transform.mean, mean)
+        assert same_bytes(transform.basis, basis)
+        assert same_bytes(transform.inv_sqrt_eigs, inv_sqrt_eigs)
+        expected = ((pixels - mean) @ basis) * inv_sqrt_eigs
+        assert same_bytes(whitened.values.reshape(-1, 6), expected)
+
+    @pytest.mark.parametrize("kind", ["quiet_nan", "signalling_nan"])
+    def test_nan_in_a_worker_chunk(self, tmp_path, monkeypatch, kind):
+        cube = random_cube(height=19, width=5, channels=6)
+        path = tmp_path / "c.hsic"
+        save_cube(cube, str(path))
+        index = 6 * 50 + 2  # pixel 50, in the eighth chunk
+        blob = bytearray(path.read_bytes())
+        blob[18 + 4 * index : 22 + 4 * index] = struct.pack("<I", NON_FINITE_FLOAT32[kind])
+        path.write_bytes(bytes(blob))
+        # the float64 NaN of the same kind
+        cube.values.view(np.uint64).reshape(-1)[index] = {
+            "quiet_nan": 0x7FF8000000000000,
+            "signalling_nan": 0x7FF0000000000001,
+        }[kind]
+        calls = record_pieces(monkeypatch, worker_first=True)
+        shrink_row_chunks(7, 6, monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CubeFormatError, match="non-finite") as err:
+                load_cube(str(path))
+            with pytest.raises(ValueError, match="non-finite values in cube"):
+                fit_whitening(cube)
+        assert err.value.offset == 18 + 4 * index
+        assert calls[0] == 2
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_chunk_error_arrives_after_the_worker_chunk_ends(self, monkeypatch, failing):
+        started, ended = threading.Event(), []
+
+        def body(chunk, out):
+            if threading.current_thread().name.startswith("hsicaps-half"):
+                started.set()
+                time.sleep(0.1)
+                ended.append(len(chunk))
+                if failing == "worker":
+                    raise FloatingPointError("worker chunk")
+            else:
+                assert started.wait(timeout=30)
+                if failing == "caller":
+                    raise FloatingPointError("caller chunk")
+
+        shrink_row_chunks(7, 4, monkeypatch)
+        with pytest.raises(FloatingPointError, match=f"{failing} chunk"):
+            hsicaps.data._row_chunks(body, np.zeros((30, 4)))
+        # the caller's error waits for the worker to take every other chunk;
+        # the worker's ends its drain and the caller takes the rest
+        assert ended == ([7, 7, 7, 2] if failing == "caller" else [7])
+
+    def test_concurrent_calls_take_every_chunk_once(self, monkeypatch):
+        # four callers share the one worker; a chunk taken twice or skipped
+        # would show in the results or leave rows unwritten
+        shrink_row_chunks(2, 3, monkeypatch)
+        source = np.arange(3000.0).reshape(1000, 3)
+        outputs, taken = {}, {k: [] for k in range(1, 5)}
+
+        def call(k):
+            def body(chunk, out):
+                np.multiply(chunk, k, out=out)
+                start = int(chunk[0, 0]) // 3
+                taken[k].append(start)
+                return start
+
+            outputs[k] = hsicaps.data._row_chunks(body, source)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(k,)) for k in range(1, 5)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(1, 5):
+            out, starts = outputs[k]
+            assert starts == sorted(taken[k]) == list(range(0, 1000, 2))
+            assert np.array_equal(out, source * k)
+
+    def test_forked_child_whitens(self, monkeypatch):
+        shrink_row_chunks(7, 4, monkeypatch)
+        cube = random_cube(height=19, width=5)
+        _whiten(cube)  # the parent's worker thread is running
+        child = multiprocessing.get_context("fork").Process(target=_whiten, args=(cube,))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
 
 
 def bounce_oracle(index: int, size: int) -> int:
