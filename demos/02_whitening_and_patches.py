@@ -12,7 +12,7 @@ import numpy as np
 
 from hsicaps import (
     apply_whitening,
-    extract_patch,
+    extract_patches,
     fit_whitening,
     invert_whitening,
     make_synthetic_cube,
@@ -53,10 +53,10 @@ print("reflect_index against a size-4 axis:")
 for idx in range(-3, 7):
     print(f"  {idx:3d} -> {reflect_index(idx, 4)}")
 
-patch = extract_patch(cube, 0, 0, 5)
+patch = extract_patches(cube, np.array([[0, 0]]), 5)[0]
 corner = cube.values[0, 0]
-print(f"\npatch at (0, 0): shape {patch.data.shape}, label {patch.label}")
-print("center equals the cube pixel:", np.array_equal(patch.data[2, 2], corner))
+print(f"\npatch at (0, 0): shape {patch.shape}, label {cube.labels[0, 0]}")
+print("center equals the cube pixel:", np.array_equal(patch[2, 2], corner))
 print("mirrored neighbors match their sources:",
-      np.array_equal(patch.data[0, 2], cube.values[2, 0]),
-      np.array_equal(patch.data[2, 0], cube.values[0, 2]))
+      np.array_equal(patch[0, 2], cube.values[2, 0]),
+      np.array_equal(patch[2, 0], cube.values[0, 2]))

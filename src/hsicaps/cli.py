@@ -301,10 +301,13 @@ def _prepared_cube(cube: HsiCube, whiten: bool, epsilon: float) -> HsiCube:
 def _load_run(args: argparse.Namespace) -> tuple[ModelParams, RunConfig, HsiCube]:
     """The checkpoint's parameters and run settings, and the model's view of
     the cube under those settings."""
-    params, _, seed, settings = read_checkpoint(args.checkpoint)
+    params, _, _, settings = read_checkpoint(args.checkpoint)
+    if not settings:
+        raise CheckpointFormatError(
+            "checkpoint carries no run settings; evaluate it through the library"
+        )
     try:
-        # a file without settings (version 1) still records the run's seed
-        config = parse_config(settings or f"seed = {seed}")
+        config = parse_config(settings)
     except ValueError as exc:
         raise CheckpointFormatError(f"checkpoint settings: {exc}") from exc
     cube = load_cube(args.cube)
@@ -553,6 +556,3 @@ def main(argv: list[str] | None = None) -> int:
 def main_entry() -> None:
     sys.exit(main())
 
-
-if __name__ == "__main__":
-    main_entry()

@@ -25,12 +25,10 @@ __all__ = [
     "ClassSplit",
     "CubeFormatError",
     "HsiCube",
-    "Patch",
     "SplitAssignment",
     "WhiteningTransform",
     "apply_whitening",
     "atomic_writes",
-    "extract_patch",
     "extract_patches",
     "fit_whitening",
     "float32_payload",
@@ -384,30 +382,14 @@ def reflect_index(index: np.ndarray | int, size: int) -> np.ndarray:
     return np.minimum(m, period - m)
 
 
-@dataclass
-class Patch:
-    """A spatial window around one pixel: ``data`` is (size, size, channels)
-    and ``label`` is the center pixel's class id."""
-
-    center: tuple[int, int]
-    data: np.ndarray
-    label: int
-
-
-def extract_patch(cube: HsiCube, row: int, col: int, size: int) -> Patch:
-    """Cut the ``size`` x ``size`` window centered on (row, col), mirroring
-    across the image border where the window sticks out.
-
-    ``size`` must be odd so the window has a center; the center itself must be
-    inside the cube.
-    """
-    data = extract_patches(cube, np.array([[row, col]]), size)[0]
-    return Patch((row, col), data, int(cube.labels[row, col]))
-
-
 def extract_patches(cube: HsiCube, coords: np.ndarray, size: int) -> np.ndarray:
-    """Vectorized :func:`extract_patch` over an (m, 2) coordinate array;
-    returns (m, size, size, channels) float64."""
+    """Cut the ``size`` x ``size`` window centered on each (row, col) of an
+    (m, 2) coordinate array, mirroring across the image border where a window
+    sticks out; returns (m, size, size, channels) float64.
+
+    ``size`` must be odd so each window has a center; the centers themselves
+    must be inside the cube.
+    """
     if size % 2 != 1 or size < 1:
         raise ValueError(f"patch size must be odd and positive, got {size}")
     coords = np.asarray(coords, dtype=np.int64)
@@ -482,7 +464,7 @@ def stratified_split(
     recorded in ``skipped``.
     """
     train_frac, val_frac = fractions
-    if train_frac <= 0 or val_frac <= 0:
+    if not (train_frac > 0 and val_frac > 0):
         raise ValueError(f"fractions must be positive, got {fractions}")
     if train_frac + val_frac >= 1:
         raise ValueError(f"fractions must sum to less than 1, got {fractions}")

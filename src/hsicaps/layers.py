@@ -968,7 +968,7 @@ def save_checkpoint(
 
 def read_checkpoint(path: str) -> tuple[ModelParams, int, int, str]:
     """Read a checkpoint; returns (params, step, seed, settings text), the
-    text empty when the file carries none, as a version 1 file does.
+    text empty when the file was saved without settings.
 
     Raises:
         CheckpointFormatError: on bad magic/version, an architecture block
@@ -982,21 +982,19 @@ def read_checkpoint(path: str) -> tuple[ModelParams, int, int, str]:
         raise CheckpointFormatError(
             f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}"
         )
-    version = data[4] if len(data) > 4 else None
-    settings_at = 5 + _ARCH_STRUCT.size + (_SETTINGS_LENGTH.size if version == 2 else 0)
+    settings_at = 5 + _ARCH_STRUCT.size + _SETTINGS_LENGTH.size
     if len(data) < settings_at:
         raise CheckpointFormatError("truncated header")
-    if version not in (1, 2):
-        raise CheckpointFormatError(f"unsupported version {version}")
+    if data[4] != CHECKPOINT_VERSION:
+        raise CheckpointFormatError(f"unsupported version {data[4]}")
     wire = _ARCH_STRUCT.unpack(data[5 : 5 + _ARCH_STRUCT.size])
     try:
         arch = Architecture(**dict(zip(ARCH_WIRE_FIELDS, wire)))
     except ValueError as exc:
         raise CheckpointFormatError(f"invalid architecture block: {exc}") from exc
 
-    offset = settings_at
-    if version == 2:
-        offset += _SETTINGS_LENGTH.unpack_from(data, settings_at - _SETTINGS_LENGTH.size)[0]
+    (length,) = _SETTINGS_LENGTH.unpack_from(data, settings_at - _SETTINGS_LENGTH.size)
+    offset = settings_at + length
     shapes = ModelParams.expected_shapes(arch)
     payload = sum(math.prod(s) * 4 for s in shapes.values())
     expected = offset + payload + _TRAILER_STRUCT.size

@@ -17,7 +17,6 @@ __all__ = [
     "MetricsResult",
     "format_metrics_kv",
     "format_metrics_table",
-    "margin_loss",
     "margin_loss_batch",
 ]
 
@@ -45,32 +44,8 @@ class MarginConfig:
                 f"negative_margin {self.negative_margin} must lie below "
                 f"positive_margin {self.positive_margin}"
             )
-        if self.negative_weight < 0:
-            raise ValueError(f"negative_weight must be >= 0, got {self.negative_weight}")
-
-
-def margin_loss(
-    activations: np.ndarray, true_class: int, config: MarginConfig = MarginConfig()
-) -> tuple[float, np.ndarray]:
-    """Loss and its gradient wrt the class-capsule activations of one sample.
-
-    ``activations`` is (classes, dim) and ``true_class`` is 1-based.  With
-    lengths v_k the loss is
-
-        sum_k [ T_k * max(0, m+ - v_k)^2
-                + w * (1 - T_k) * max(0, v_k - m-)^2 ]
-
-    where T is the one-hot truth.  The gradient at an exactly zero-length
-    capsule is taken as zero.
-    """
-    activations = np.asarray(activations, dtype=np.float64)
-    if activations.ndim != 2:
-        raise ValueError(f"activations must be (classes, dim), got {activations.shape}")
-    num_classes = activations.shape[0]
-    if not 1 <= true_class <= num_classes:
-        raise ValueError(f"true_class must be in [1, {num_classes}], got {true_class}")
-    loss, grad = margin_loss_batch(activations[None], np.array([true_class]), config)
-    return loss, grad[0]
+        if not 0.0 <= self.negative_weight < np.inf:
+            raise ValueError(f"negative_weight must be in [0, inf), got {self.negative_weight}")
 
 
 def margin_loss_batch(
@@ -80,8 +55,15 @@ def margin_loss_batch(
 ) -> tuple[float, np.ndarray]:
     """Batched margin loss: the mean over samples, plus its gradient.
 
-    ``activations`` is (B, classes, dim), ``true_classes`` (B,) 1-based.  The
-    returned gradient is that of the mean, so it already carries the 1/B.
+    ``activations`` is (B, classes, dim), ``true_classes`` (B,) 1-based.  With
+    lengths v_k of one sample's class capsules, its loss is
+
+        sum_k [ T_k * max(0, m+ - v_k)^2
+                + w * (1 - T_k) * max(0, v_k - m-)^2 ]
+
+    where T is the one-hot truth.  The returned gradient is that of the mean,
+    so it already carries the 1/B; at an exactly zero-length capsule it is
+    taken as zero.
     """
     activations = np.asarray(activations, dtype=np.float64)
     true_classes = np.asarray(true_classes)
@@ -142,9 +124,6 @@ class ConfusionMatrix:
             raise ValueError(f"need at least 1 class, got {num_classes}")
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-
-    def accumulate(self, true_class: int, predicted_class: int) -> None:
-        self.accumulate_many(np.array([true_class]), np.array([predicted_class]))
 
     def accumulate_many(
         self, true_classes: np.ndarray, predicted_classes: np.ndarray

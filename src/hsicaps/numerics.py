@@ -83,11 +83,11 @@ def finite_difference_check(
     Raises:
         FloatingPointError: if ``f`` returns a non-finite value at any
             perturbed point.
-        ValueError: on shape mismatch, an empty parameter array, or a
-            non-positive ``epsilon``.
+        ValueError: on shape mismatch, an empty parameter array, or an
+            ``epsilon`` that is not positive and finite.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     params = np.asarray(params, dtype=np.float64)
     analytic_grad = np.asarray(analytic_grad, dtype=np.float64)
     if analytic_grad.shape != params.shape:

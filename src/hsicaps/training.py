@@ -62,12 +62,12 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.routing_iters < 1:
             raise ValueError(f"routing_iters must be >= 1, got {self.routing_iters}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
             raise ValueError("Adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not 0 < self.adam_eps < np.inf:
+            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -190,12 +190,11 @@ def evaluate(
     cube: HsiCube,
     coords: np.ndarray,
     routing_iters: int = TrainConfig.routing_iters,
-    batch_size: int = 256,
 ) -> ConfusionMatrix:
     """Confusion matrix of the model over the labeled pixels at ``coords``.
 
-    Predictions come from :func:`predict_coords`: ``batch_size`` caps the
-    pixels per call, and the model runs in prediction-budget blocks.
+    Predictions come from :func:`predict_coords` with its default cap, so
+    the model runs in prediction-budget blocks.
     """
     coords = np.asarray(coords, dtype=np.int64)
     if len(coords) == 0:
@@ -204,7 +203,7 @@ def evaluate(
     if (truth < 1).any():
         raise ValueError("evaluation coords include unlabeled pixels")
     cm = ConfusionMatrix(params.arch.num_classes)
-    predictions = predict_coords(params, cube, coords, routing_iters, batch_size)
+    predictions = predict_coords(params, cube, coords, routing_iters)
     cm.accumulate_many(truth, predictions)
     return cm
 

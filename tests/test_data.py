@@ -17,7 +17,6 @@ from hsicaps.data import (
     CubeFormatError,
     HsiCube,
     apply_whitening,
-    extract_patch,
     extract_patches,
     fit_whitening,
     invert_whitening,
@@ -405,38 +404,41 @@ class TestReflectIndex:
 class TestPatches:
     def test_interior_patch_is_a_slice(self):
         cube = random_cube(height=9, width=9)
-        patch = extract_patch(cube, 4, 4, 5)
-        np.testing.assert_array_equal(patch.data, cube.values[2:7, 2:7])
-        assert patch.label == int(cube.labels[4, 4])
-        assert patch.center == (4, 4)
+        patches = extract_patches(cube, np.array([[4, 4]]), 5)
+        assert patches.shape == (1, 5, 5, cube.channels)
+        np.testing.assert_array_equal(patches[0], cube.values[2:7, 2:7])
 
     def test_corner_patch_mirrors(self):
         cube = random_cube(height=6, width=7)
-        patch = extract_patch(cube, 0, 0, 3)
+        patches = extract_patches(cube, np.array([[0, 0]]), 3)
         rows = [1, 0, 1]
         cols = [1, 0, 1]
         want = cube.values[np.ix_(rows, cols)]
-        np.testing.assert_array_equal(patch.data, want)
+        np.testing.assert_array_equal(patches[0], want)
 
     def test_batch_matches_single(self):
+        """Each row of a batch is the single window cut from the cube that
+        numpy's reflect padding extends by two pixels on each side."""
         cube = random_cube(height=8, width=11)
         rng = np.random.default_rng(5)
         coords = np.stack(
             [rng.integers(0, 8, 20), rng.integers(0, 11, 20)], axis=1
         )
         batch = extract_patches(cube, coords, 5)
+        padded = np.pad(cube.values, ((2, 2), (2, 2), (0, 0)), mode="reflect")
         for idx, (row, col) in enumerate(coords):
-            single = extract_patch(cube, int(row), int(col), 5)
-            np.testing.assert_array_equal(batch[idx], single.data)
+            np.testing.assert_array_equal(batch[idx], padded[row : row + 5, col : col + 5])
 
     def test_validation(self):
         cube = random_cube()
-        with pytest.raises(ValueError):
-            extract_patch(cube, 0, 0, 4)  # even size
-        with pytest.raises(ValueError):
-            extract_patch(cube, 99, 0, 3)  # outside
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="odd"):
+            extract_patches(cube, np.array([[0, 0]]), 4)
+        with pytest.raises(ValueError, match="outside"):
+            extract_patches(cube, np.array([[99, 0]]), 3)
+        with pytest.raises(ValueError, match="outside"):
             extract_patches(cube, np.array([[0, 99]]), 3)
+        with pytest.raises(ValueError, match="coords"):
+            extract_patches(cube, np.array([0, 0]), 3)
 
 
 class TestStratifiedSplit:
@@ -504,6 +506,11 @@ class TestStratifiedSplit:
             stratified_split(cube, (0.0, 0.1), seed=0)
         with pytest.raises(ValueError):
             stratified_split(cube, (0.7, 0.3), seed=0)
+
+    @pytest.mark.parametrize("fractions", [(np.nan, 0.1), (0.2, np.nan)], ids=["train", "val"])
+    def test_nan_fraction_rejected(self, fractions):
+        with pytest.raises(ValueError, match="fractions must be positive"):
+            stratified_split(self.labeled_cube({1: 10}), fractions, seed=0)
 
     def test_subset_concatenation_is_class_ordered(self):
         cube = self.labeled_cube({1: 10, 2: 10})

@@ -705,6 +705,7 @@ class TestCheckpoint:
         save_checkpoint(path, params, step=1234, seed=42)
         loaded, step, seed = load_checkpoint(path)
         assert (step, seed) == (1234, 42)
+        assert read_checkpoint(path)[3] == ""  # saved without settings
         assert loaded.arch == MINIATURE_ARCHITECTURE
         for (name, arr), (_, arr2) in zip(params.arrays(), loaded.arrays()):
             np.testing.assert_array_equal(arr, arr2, err_msg=name)
@@ -781,15 +782,14 @@ class TestCheckpoint:
         assert (step, seed, settings) == (3, 1, text)
         assert load_checkpoint(path)[1:] == (3, 1)
 
-    def test_version_1_file_reads_without_settings(self, tmp_path):
+    def test_version_1_file_is_refused(self, tmp_path):
+        # version 1 had no settings length field and no settings
         path = tmp_path / "m.cckp"
         save_checkpoint(str(path), self.float32_params(), 3, 1, "seed = 1\n")
         blob = path.read_bytes()
         path.write_bytes(blob[:4] + b"\x01" + blob[5:57] + blob[61 + 9 :])
-        params, step, seed, settings = read_checkpoint(str(path))
-        assert (step, seed, settings) == (3, 1, "")
-        for (name, arr), (_, arr2) in zip(self.float32_params().arrays(), params.arrays()):
-            np.testing.assert_array_equal(arr, arr2, err_msg=name)
+        with pytest.raises(CheckpointFormatError, match="unsupported version 1"):
+            read_checkpoint(str(path))
 
     def test_broken_settings_rejected(self, tmp_path):
         path = tmp_path / "m.cckp"

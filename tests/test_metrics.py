@@ -10,7 +10,6 @@ from hsicaps.metrics import (
     MarginConfig,
     format_metrics_kv,
     format_metrics_table,
-    margin_loss,
     margin_loss_batch,
 )
 from hsicaps.numerics import finite_difference_check
@@ -36,39 +35,46 @@ class TestMarginConfig:
         with pytest.raises(ValueError):
             MarginConfig(**kwargs)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_negative_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match=f"negative_weight .* got {weight}"):
+            MarginConfig(negative_weight=weight)
+
 
 class TestMarginLoss:
+    """Single-sample cases run as batches of one."""
+
     def test_hand_computed_example(self):
         # lengths 0.6 and 0.3 with class 1 present:
         #   (0.9 - 0.6)^2 + 0.5 * (0.3 - 0.1)^2 = 0.09 + 0.02 = 0.11
         activations = np.array([[0.6, 0.0], [0.3, 0.0]])
-        loss, grad = margin_loss(activations, 1)
+        loss, grad = margin_loss_batch(activations[None], [1])
         assert loss == pytest.approx(0.11, rel=1e-12)
         np.testing.assert_allclose(
-            grad, [[-0.6, 0.0], [0.2, 0.0]], rtol=1e-12
+            grad, [[[-0.6, 0.0], [0.2, 0.0]]], rtol=1e-12
         )
 
     def test_satisfied_margins_give_zero(self):
         activations = np.array([[0.95, 0.0], [0.05, 0.0]])
-        loss, grad = margin_loss(activations, 1)
+        loss, grad = margin_loss_batch(activations[None], [1])
         assert loss == 0.0
         assert not grad.any()
 
     def test_zero_length_true_capsule(self):
         activations = np.array([[0.0, 0.0], [0.05, 0.0]])
-        loss, grad = margin_loss(activations, 1)
+        loss, grad = margin_loss_batch(activations[None], [1])
         assert loss == pytest.approx(0.81, rel=1e-12)
         # direction of a zero vector is undefined; the gradient is pinned to 0
-        np.testing.assert_array_equal(grad[0], [0.0, 0.0])
+        np.testing.assert_array_equal(grad[0, 0], [0.0, 0.0])
 
     def test_negative_weight_zero_ignores_absent_classes(self):
         activations = np.array([[0.9, 0.0], [0.8, 0.0]])
-        loss, _ = margin_loss(activations, 1, MarginConfig(negative_weight=0.0))
+        loss, _ = margin_loss_batch(activations[None], [1], MarginConfig(negative_weight=0.0))
         assert loss == 0.0
 
     def test_wrong_class_penalized_from_both_sides(self):
         activations = np.array([[0.1, 0.0], [0.9, 0.0]])
-        loss, _ = margin_loss(activations, 1)
+        loss, _ = margin_loss_batch(activations[None], [1])
         assert loss == pytest.approx(0.8**2 + 0.5 * 0.8**2, rel=1e-12)
 
     def test_batch_mean_and_scaling(self):
@@ -76,10 +82,10 @@ class TestMarginLoss:
         activations = rng.normal(0, 0.4, (3, 4, 5))
         classes = np.array([1, 3, 4])
         mean, grad_mean = margin_loss_batch(activations, classes)
-        singles = [margin_loss(activations[b], classes[b]) for b in range(3)]
+        singles = [margin_loss_batch(activations[b : b + 1], classes[b : b + 1]) for b in range(3)]
         assert mean == pytest.approx(sum(s for s, _ in singles) / 3.0, rel=1e-12)
         for b, (_, g) in enumerate(singles):
-            np.testing.assert_allclose(grad_mean[b], g / 3.0, rtol=1e-12)
+            np.testing.assert_allclose(grad_mean[b], g[0] / 3.0, rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -92,13 +98,13 @@ class TestMarginLoss:
         assert report.max_relative_error < 1e-6
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            margin_loss(np.zeros((2, 3)), 0)
-        with pytest.raises(ValueError):
-            margin_loss(np.zeros((2, 3)), 3)
-        with pytest.raises(ValueError):
-            margin_loss(np.zeros(3), 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="class ids"):
+            margin_loss_batch(np.zeros((1, 2, 3)), [0])
+        with pytest.raises(ValueError, match="class ids"):
+            margin_loss_batch(np.zeros((1, 2, 3)), [3])
+        with pytest.raises(ValueError, match="activations"):
+            margin_loss_batch(np.zeros((2, 3)), [1])
+        with pytest.raises(ValueError, match="true_classes"):
             margin_loss_batch(np.zeros((2, 2, 3)), np.array([1, 1, 1]))
 
 
@@ -111,9 +117,8 @@ class TestConfusionMatrix:
 
     def test_accumulate(self):
         cm = ConfusionMatrix(3)
-        cm.accumulate(1, 1)
-        cm.accumulate(1, 2)
-        cm.accumulate(3, 1)
+        for truth, predicted in [(1, 1), (1, 2), (3, 1)]:
+            cm.accumulate_many(np.array([truth]), np.array([predicted]))
         np.testing.assert_array_equal(
             cm.counts, [[1, 1, 0], [0, 0, 0], [1, 0, 0]]
         )
@@ -123,12 +128,12 @@ class TestConfusionMatrix:
         rng = np.random.default_rng(1)
         truth = rng.integers(1, 5, 200)
         pred = rng.integers(1, 5, 200)
-        fast = ConfusionMatrix(4)
-        fast.accumulate_many(truth, pred)
-        slow = ConfusionMatrix(4)
+        cm = ConfusionMatrix(4)
+        cm.accumulate_many(truth, pred)
+        counts = np.zeros((4, 4), dtype=np.int64)
         for t, p in zip(truth, pred):
-            slow.accumulate(int(t), int(p))
-        np.testing.assert_array_equal(fast.counts, slow.counts)
+            counts[t - 1, p - 1] += 1
+        np.testing.assert_array_equal(cm.counts, counts)
 
     def test_accumulate_many_empty_is_noop(self):
         cm = ConfusionMatrix(2)
@@ -138,9 +143,9 @@ class TestConfusionMatrix:
     def test_range_validation(self):
         cm = ConfusionMatrix(2)
         with pytest.raises(ValueError):
-            cm.accumulate(0, 1)
+            cm.accumulate_many(np.array([0]), np.array([1]))
         with pytest.raises(ValueError):
-            cm.accumulate(1, 3)
+            cm.accumulate_many(np.array([1]), np.array([3]))
         with pytest.raises(ValueError):
             cm.accumulate_many(np.array([1, 3]), np.array([1, 1]))
         with pytest.raises(ValueError):

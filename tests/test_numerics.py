@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsicaps.layers import primary_caps_forward, spatial_conv_forward
-from hsicaps.metrics import margin_loss
+from hsicaps.metrics import margin_loss_batch
 from hsicaps.numerics import (
     conv1d_output_length,
     finite_difference_check,
@@ -182,13 +182,13 @@ class TestFiniteDifferenceCheck:
     def test_margin_loss_gradient_of_two_class_output(self):
         # lengths sit away from both hinge corners so the loss is smooth here
         rng = np.random.default_rng(8)
-        activations = rng.normal(0.0, 0.3, (2, 3))
-        _, grad = margin_loss(activations, 1)
+        activations = rng.normal(0.0, 0.3, (1, 2, 3))
+        _, grad = margin_loss_batch(activations, [1])
 
         flat = activations.reshape(-1)
 
         def f(p):
-            return margin_loss(p.reshape(2, 3), 1)[0]
+            return margin_loss_batch(p.reshape(1, 2, 3), [1])[0]
 
         report = finite_difference_check(f, flat, grad.reshape(-1), epsilon=1e-6)
         assert report.max_relative_error < 1e-6
@@ -207,3 +207,8 @@ class TestFiniteDifferenceCheck:
             finite_difference_check(lambda p: 0.0, np.ones(2), np.zeros(2), epsilon=0.0)
         with pytest.raises(ValueError):
             finite_difference_check(lambda p: 0.0, np.zeros(0), np.zeros(0))
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=f"epsilon .* got {epsilon}"):
+            finite_difference_check(lambda p: float(p.sum()), np.ones(2), np.ones(2), epsilon)

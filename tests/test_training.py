@@ -82,6 +82,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "adam_eps"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_setting_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} .* got {value}"):
+            TrainConfig(**{name: value})
+
 
 class TestAdam:
     def test_first_step_closed_form(self):
@@ -192,11 +198,13 @@ class TestPredictEvaluate:
         unlabeled = HsiCube(cube.values, np.zeros_like(cube.labels))
         with pytest.raises(ValueError):
             evaluate(params, unlabeled, np.array([[0, 0]]))
-        for batch_size in (0, -1):
-            with pytest.raises(ValueError, match="batch_size"):
-                evaluate(
-                    params, cube, np.argwhere(cube.labels > 0)[:1], batch_size=batch_size
-                )
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_predict_rejects_non_positive_batch_size(self, toy_cube, batch_size):
+        params = miniature_params()
+        cube = HsiCube(toy_cube.values[:, :, :24], toy_cube.labels)
+        with pytest.raises(ValueError, match="batch_size"):
+            predict_coords(params, cube, np.array([[0, 0]]), batch_size=batch_size)
 
 
 class TestBlockedInference:
