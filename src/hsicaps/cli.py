@@ -556,3 +556,6 @@ def main(argv: list[str] | None = None) -> int:
 def main_entry() -> None:
     sys.exit(main())
 
+
+if __name__ == "__main__":
+    sys.exit("error: run hsicaps commands as `python -m hsicaps`, not `python -m hsicaps.cli`")

@@ -9,21 +9,19 @@ iterative routing-by-agreement.
 
 The backward pass is hand-derived and exact: routing iterations are unrolled
 and differentiated through, with the initial uniform logits treated as
-constants.  Capsule tensors passed between the public functions follow the
-(positions, arrays, dim) axis convention; class ids are 1-based.
+constants.  Class ids are 1-based.
 
 The spatial, primary and window layers are one private strided 1D
 convolution along the spectral axis, held maps-first (maps, B, length).  The
 routed class layer is one class-major engine: its prediction vectors are
 stored once as (B, children, classes, out_dim), and routing and its unrolled
 backward read them through a (B, classes, children, out_dim) view as stacked
-matrix products.
-``forward_batch`` and ``backward_batch`` compose them, and the single-sample
-layer functions are thin adapters over the same code.  Both run a call as
-the one or two sample pieces that one cut rule gives, the second on one
-worker thread; the inference block size follows the same budget.  Each
-parameter array is declared once, in ``_PARAM_TABLE``, with its layer,
-shape, init and gradient-check family.
+matrix products.  ``forward_batch`` and ``backward_batch`` compose them and
+are the one public way into the layers.  Both run a call as the one or two
+sample pieces that one cut rule gives, the second on one worker thread; the
+inference block size follows the same budget.  Each parameter array is
+declared once, in ``_PARAM_TABLE``, with its layer, shape, init and
+gradient-check family.
 """
 
 from __future__ import annotations
@@ -45,21 +43,16 @@ __all__ = [
     "ForwardCache",
     "MINIATURE_ARCHITECTURE",
     "ModelParams",
-    "RoutingState",
     "backward_batch",
     "capsule_lengths",
-    "conv_caps_forward",
-    "dynamic_routing",
     "encode_checkpoint",
     "forward_batch",
     "init_params",
     "load_checkpoint",
     "param_count",
     "predict_classes",
-    "primary_caps_forward",
     "read_checkpoint",
     "save_checkpoint",
-    "spatial_conv_forward",
     "squash",
     "squash_backward",
 ]
@@ -403,16 +396,6 @@ def _agree(view: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (view @ vectors[..., None])[..., 0]
 
 
-def _agreement(predictions: np.ndarray, parents: np.ndarray) -> np.ndarray:
-    """Logit increment of :func:`_routing_forward` on the per-child layout:
-    (B, arrays, positions, classes, dim) predictions and (B, classes, dim)
-    parents give (B, arrays, positions, classes)."""
-    batch, arrays, positions, classes, dim = predictions.shape
-    stored = predictions.reshape(batch, arrays * positions, classes, dim)
-    increment = _agree(_by_class(stored), parents)
-    return increment.transpose(0, 2, 1).reshape(batch, arrays, positions, classes)
-
-
 def _routing_forward(
     view: np.ndarray, iterations: int, keep_iterations: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
@@ -517,153 +500,6 @@ def _class_backward(
     return (
         grad_children.reshape(arrays, positions, batch, dim).transpose(2, 1, 0, 3),
         grad_matrices.reshape(matrices.shape),
-    )
-
-
-# ---------------------------------------------------------------------------
-# single-sample layer operations
-
-
-def spatial_conv_forward(
-    patch: np.ndarray, kernels: np.ndarray, bias: np.ndarray
-) -> np.ndarray:
-    """Apply each shared spatial filter to every channel of one patch.
-
-    ``patch`` is (size, size, channels), ``kernels`` is (filters, size, size),
-    ``bias`` is (filters,).  Returns (channels, filters) ReLU activations
-    where out[c, k] is the filter-k response on channel c's spatial plane.
-    """
-    patch = np.asarray(patch, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if patch.ndim != 3:
-        raise ValueError(f"patch must be (size, size, channels), got {patch.shape}")
-    if kernels.ndim != 3 or kernels.shape[1:] != patch.shape[:2]:
-        raise ValueError(
-            f"kernels {kernels.shape} must match the patch plane {patch.shape[:2]}"
-        )
-    if bias.shape != (kernels.shape[0],):
-        raise ValueError(f"bias must have shape ({kernels.shape[0]},), got {bias.shape}")
-    pixels = patch.reshape(-1, 1, patch.shape[2])
-    _, pre = _conv_forward(pixels, kernels.reshape(len(kernels), -1, 1), bias, 1)
-    return relu(pre[:, 0].T)
-
-
-def primary_caps_forward(
-    features: np.ndarray,
-    kernels: np.ndarray,
-    bias: np.ndarray,
-    stride: int,
-    capsule_arrays: int,
-    capsule_dim: int,
-) -> np.ndarray:
-    """Strided 1D convolution along the spectral axis, regrouped into capsules.
-
-    ``features`` is (channels, in_maps) and ``kernels`` is (maps, in_maps,
-    kernel_size); the valid-padding convolution yields (positions, maps) ReLU
-    feature maps, positions = floor((channels - kernel_size) / stride) + 1,
-    which are regrouped so capsule (position, array) takes maps
-    array*dim .. array*dim + dim - 1.  Returns (positions, arrays, dim).
-    """
-    features = np.asarray(features, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError(f"features must be (channels, in_maps), got {features.shape}")
-    if kernels.ndim != 3:
-        raise ValueError(
-            f"kernels must be (maps, in_maps, kernel_size), got {kernels.shape}"
-        )
-    out_maps, in_maps, kernel_size = kernels.shape
-    if in_maps != features.shape[1]:
-        raise ValueError(
-            f"kernels expect {in_maps} input maps, features have {features.shape[1]}"
-        )
-    if bias.shape != (out_maps,):
-        raise ValueError(f"bias must have shape ({out_maps},), got {bias.shape}")
-    if out_maps != capsule_arrays * capsule_dim:
-        raise ValueError(
-            f"{out_maps} feature maps cannot regroup into {capsule_arrays} arrays x "
-            f"{capsule_dim} dims"
-        )
-    conv1d_output_length(features.shape[0], kernel_size, stride)
-    _, pre = _conv_forward(features.T[:, None], kernels, bias, stride)
-    return relu(pre[:, 0].T).reshape(-1, capsule_arrays, capsule_dim)
-
-
-def conv_caps_forward(
-    children: np.ndarray,
-    tensors: np.ndarray,
-    bias: np.ndarray,
-    stride: int,
-) -> np.ndarray:
-    """Capsule convolution: slide a window of transformation tensors along the
-    position axis.
-
-    ``children`` is (positions, arrays, dim); ``tensors`` is (out_arrays,
-    out_dim, window, arrays, dim) and is shared across output positions;
-    ``bias`` is (out_arrays, out_dim).  Output position t contracts the
-    children at positions t*stride .. t*stride + window - 1 and squashes the
-    result: returns (out_positions, out_arrays, out_dim).
-    """
-    children = np.asarray(children, dtype=np.float64)
-    tensors = np.asarray(tensors, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if children.ndim != 3:
-        raise ValueError(f"children must be (positions, arrays, dim), got {children.shape}")
-    out_arrays, out_dim, window, arrays, dim = tensors.shape
-    if children.shape[1:] != (arrays, dim):
-        raise ValueError(
-            f"tensors expect children of (arrays, dim) = {(arrays, dim)}, "
-            f"got {children.shape[1:]}"
-        )
-    if bias.shape != (out_arrays, out_dim):
-        raise ValueError(f"bias must have shape {(out_arrays, out_dim)}, got {bias.shape}")
-    conv1d_output_length(children.shape[0], window, stride)
-    maps = children.reshape(len(children), -1).T[:, None]
-    _, pre = _conv_forward(maps, _window_kernels(tensors), bias.ravel(), stride)
-    return squash(pre[:, 0].T.reshape(-1, out_arrays, out_dim))
-
-
-@dataclass
-class RoutingState:
-    """Final routing coefficients: ``logits`` and ``coupling`` are
-    (child_arrays, child_positions, classes); ``coupling`` is the softmax that
-    produced the returned activations."""
-
-    logits: np.ndarray
-    coupling: np.ndarray
-    iterations: int
-
-
-def dynamic_routing(
-    children: np.ndarray, matrices: np.ndarray, iterations: int
-) -> tuple[np.ndarray, RoutingState]:
-    """Route one sample's child capsules to the class capsules.
-
-    ``children`` is (positions, arrays, dim); ``matrices`` is (arrays,
-    positions, classes, out_dim, dim), one matrix per child/class pair.  The
-    prediction vectors are computed once; only the couplings iterate.
-
-    Returns ((classes, out_dim) activations, RoutingState).
-    """
-    children = np.asarray(children, dtype=np.float64)
-    matrices = np.asarray(matrices, dtype=np.float64)
-    if children.ndim != 3:
-        raise ValueError(f"children must be (positions, arrays, dim), got {children.shape}")
-    arrays, positions, classes, out_dim, dim = matrices.shape
-    if children.shape != (positions, arrays, dim):
-        raise ValueError(
-            f"matrices expect children of shape {(positions, arrays, dim)}, "
-            f"got {children.shape}"
-        )
-    _, (parents, coupling, logits, _) = _class_forward(
-        children[None], matrices, iterations, False
-    )
-    return parents[0], RoutingState(
-        logits[0].T.reshape(arrays, positions, classes),
-        coupling[0].T.reshape(arrays, positions, classes),
-        iterations,
     )
 
 

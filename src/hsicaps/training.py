@@ -213,7 +213,6 @@ def train(
     split: SplitAssignment,
     config: TrainConfig,
     arch: Architecture | None = None,
-    initial_params: ModelParams | None = None,
 ) -> tuple[ModelParams, TrainRecord]:
     """Train on the split's train subset, select on its val subset.
 
@@ -233,12 +232,7 @@ def train(
     if arch is None:
         arch = Architecture(channels=cube.channels, num_classes=cube.num_classes())
     rng = np.random.default_rng(config.seed)
-    if initial_params is None:
-        params = init_params(arch, rng)
-    else:
-        if initial_params.arch != arch:
-            raise ValueError("initial_params architecture does not match")
-        params = initial_params.copy()
+    params = init_params(arch, rng)
     state = AdamState.for_params(params)
 
     num_train = len(train_coords)

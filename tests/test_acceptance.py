@@ -23,13 +23,15 @@ from hsicaps.data import (
 )
 from hsicaps.layers import (
     Architecture,
-    _agreement,
-    conv_caps_forward,
-    dynamic_routing,
+    _agree,
+    _class_forward,
+    _conv_forward,
+    _routing_forward,
+    _window_kernels,
     param_count,
-    primary_caps_forward,
-    spatial_conv_forward,
+    squash,
 )
+from hsicaps.numerics import relu
 from hsicaps.training import TrainConfig, evaluate, run_gradient_check, train
 
 from conftest import (
@@ -123,35 +125,43 @@ def test_criterion_03_gradient_correctness():
 
 def test_criterion_04_routing_invariants():
     """Coupling normalization, bounded outputs, uniform start, and the exact
-    agreement increment."""
+    agreement increment, on the class layer the model runs."""
     rng = np.random.default_rng(0)
     for classes in (2, 9, 16):
         children = rng.normal(size=(3, 2, 4))
         matrices = rng.normal(size=(2, 3, classes, 3, 4))
         # the first pass sees zero logits: coupling must be exactly uniform
-        _, state = dynamic_routing(children, matrices, 1)
-        np.testing.assert_array_equal(
-            state.coupling, np.full((2, 3, classes), 1.0 / classes)
-        )
+        _, (_, coupling, _, _) = _class_forward(children[None], matrices, 1, False)
+        np.testing.assert_array_equal(coupling, np.full((1, classes, 6), 1.0 / classes))
         for iterations in (1, 2, 3):
-            acts, state = dynamic_routing(children, matrices, iterations)
-            sums = state.coupling.sum(axis=-1)
+            _, (acts, coupling, _, _) = _class_forward(
+                children[None], matrices, iterations, False
+            )
+            sums = coupling.sum(axis=1)
             assert np.abs(sums - 1.0).max() < 1e-10
             assert (np.linalg.norm(acts, axis=-1) < 1.0).all()
 
     # a parent equal to the child's prediction makes the logit increment the
     # squared norm of the prediction, exactly, for exactly representable values
     for vector, norm_sq in (([3.0, 4.0], 25.0), ([0.75, 1.0], 1.5625)):
-        predictions = np.array(vector)[None, None, None, None, :]
+        view = np.array(vector)[None, None, None, :]
         parents = np.array(vector)[None, None, :]
-        increment = _agreement(predictions, parents)
-        assert increment.shape == (1, 1, 1, 1)
-        assert increment[0, 0, 0, 0] == norm_sq
+        increment = _agree(view, parents)
+        assert increment.shape == (1, 1, 1)
+        assert increment[0, 0, 0] == norm_sq
+        # and routing adds exactly that increment to the zero start
+        _, _, logits, cache = _routing_forward(view, 2, True)
+        np.testing.assert_array_equal(logits, _agree(view, cache[0][2]))
 
 
 def test_criterion_05_brute_force_layer_equivalence():
     """All four layers against straight-loop oracles: 100 random small
-    instances each (every instance under 200 parameters), within 1e-10."""
+    instances each (every instance under 200 parameters), within 1e-10.
+
+    The layers run as the model runs them: the three convolutions through
+    the maps-first (in_maps, B, length) convolution, the class layer through
+    the class-major engine, whose child n is array * positions + position.
+    """
     rng = np.random.default_rng(42)
 
     for _ in range(100):
@@ -162,8 +172,10 @@ def test_criterion_05_brute_force_layer_equivalence():
         kernels = rng.normal(size=(filters, size, size))
         bias = rng.normal(size=filters)
         assert filters * (size * size + 1) <= 200
+        pixels = patch.reshape(-1, 1, channels)
+        _, pre = _conv_forward(pixels, kernels.reshape(filters, -1, 1), bias, 1)
         np.testing.assert_allclose(
-            spatial_conv_forward(patch, kernels, bias),
+            relu(pre[:, 0]).T,
             oracle_spatial_conv(patch, kernels, bias),
             atol=1e-10,
         )
@@ -179,8 +191,10 @@ def test_criterion_05_brute_force_layer_equivalence():
         kernels = rng.normal(size=(arrays * dim, in_maps, f))
         bias = rng.normal(size=arrays * dim)
         assert arrays * dim * (in_maps * f + 1) <= 200
+        _, pre = _conv_forward(features.T[:, None], kernels, bias, stride)
+        # map a * dim + j is component j of array a's capsule
         np.testing.assert_allclose(
-            primary_caps_forward(features, kernels, bias, stride, arrays, dim),
+            relu(pre[:, 0]).T.reshape(-1, arrays, dim),
             oracle_primary_caps(features, kernels, bias, stride, arrays, dim),
             atol=1e-10,
         )
@@ -197,8 +211,10 @@ def test_criterion_05_brute_force_layer_equivalence():
         tensors = rng.normal(size=(out_arrays, out_dim, window, arrays, dim))
         bias = rng.normal(size=(out_arrays, out_dim))
         assert out_arrays * out_dim * (window * arrays * dim + 1) <= 200
+        maps = children.reshape(positions, -1).T[:, None]
+        _, pre = _conv_forward(maps, _window_kernels(tensors), bias.ravel(), stride)
         np.testing.assert_allclose(
-            conv_caps_forward(children, tensors, bias, stride),
+            squash(pre[:, 0].T.reshape(-1, out_arrays, out_dim)),
             oracle_conv_caps(children, tensors, bias, stride),
             atol=1e-10,
         )
@@ -213,13 +229,20 @@ def test_criterion_05_brute_force_layer_equivalence():
         children = rng.normal(size=(positions, arrays, dim))
         matrices = rng.normal(size=(arrays, positions, classes, out_dim, dim))
         assert matrices.size <= 200
-        acts, state = dynamic_routing(children, matrices, iterations)
+        _, (acts, coupling, logits, _) = _class_forward(
+            children[None], matrices, iterations, False
+        )
         want_acts, want_coupling, want_logits = oracle_routing(
             children, matrices, iterations
         )
-        np.testing.assert_allclose(acts, want_acts, atol=1e-10)
-        np.testing.assert_allclose(state.coupling, want_coupling, atol=1e-10)
-        np.testing.assert_allclose(state.logits, want_logits, atol=1e-10)
+        np.testing.assert_allclose(acts[0], want_acts, atol=1e-10)
+        # the oracle's (arrays, positions, classes) as (classes, children)
+        np.testing.assert_allclose(
+            coupling[0], want_coupling.reshape(-1, classes).T, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            logits[0], want_logits.reshape(-1, classes).T, atol=1e-10
+        )
 
 
 def test_criterion_06_whitening_contract():

@@ -689,18 +689,31 @@ class TestAtomicArtifacts:
         assert not [p for p in out_dir.iterdir() if p.name.endswith(".tmp")]
 
 
-@pytest.mark.parametrize("module", ["hsicaps"])
-def test_python_dash_m_runs_a_command(module, tmp_path):
+def run_param_count_module(module, cwd):
+    """``python -m MODULE param-count`` on the reference shape, in a fresh
+    interpreter that imports this checkout's sources."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", module, "param-count", "--channels", "200", "--classes", "16"],
-        cwd=tmp_path,
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("module", ["hsicaps"])
+def test_python_dash_m_runs_a_command(module, tmp_path):
+    result = run_param_count_module(module, tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "368,208\n"
+
+
+def test_python_dash_m_cli_module_refuses_to_run(tmp_path):
+    result = run_param_count_module("hsicaps.cli", tmp_path)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "`python -m hsicaps`" in result.stderr

@@ -512,6 +512,12 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError, match="fractions must be positive"):
             stratified_split(self.labeled_cube({1: 10}), fractions, seed=0)
 
+    def test_seed_outside_64_bits_rejected(self):
+        cube = self.labeled_cube({1: 10})
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+                stratified_split(cube, (0.2, 0.1), seed)
+
     def test_subset_concatenation_is_class_ordered(self):
         cube = self.labeled_cube({1: 10, 2: 10})
         split = stratified_split(cube, (0.2, 0.1), seed=0)

@@ -18,7 +18,10 @@ from hsicaps.cli import RunConfig
 from hsicaps.layers import (
     _ARCH_STRUCT,
     ARCH_WIRE_FIELDS,
+    _class_forward,
+    _conv_forward,
     _pieces,
+    _window_kernels,
     MINIATURE_ARCHITECTURE,
     PARAM_FIELDS,
     Architecture,
@@ -26,22 +29,18 @@ from hsicaps.layers import (
     ModelParams,
     backward_batch,
     capsule_lengths,
-    conv_caps_forward,
-    dynamic_routing,
     forward_batch,
     init_params,
     load_checkpoint,
     param_count,
     predict_classes,
-    primary_caps_forward,
     read_checkpoint,
     save_checkpoint,
-    spatial_conv_forward,
     squash,
     squash_backward,
 )
 from hsicaps.metrics import margin_loss_batch
-from hsicaps.numerics import finite_difference_check
+from hsicaps.numerics import finite_difference_check, relu
 
 from conftest import (
     DISTINCT_ARCHITECTURE,
@@ -259,6 +258,9 @@ class TestCapsuleReadout:
 
 
 class TestSpatialConv:
+    """The spatial layer as the model runs it: the maps-first convolution
+    with one input map per patch pixel and the channels as its length."""
+
     def test_matches_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -268,32 +270,21 @@ class TestSpatialConv:
             patch = rng.normal(size=(size, size, channels))
             kernels = rng.normal(size=(filters, size, size))
             bias = rng.normal(size=filters)
+            pixels = patch.reshape(-1, 1, channels)
+            _, pre = _conv_forward(pixels, kernels.reshape(filters, -1, 1), bias, 1)
             np.testing.assert_allclose(
-                spatial_conv_forward(patch, kernels, bias),
+                relu(pre[:, 0]).T,
                 oracle_spatial_conv(patch, kernels, bias),
                 atol=1e-12,
             )
 
     def test_known_case(self):
-        patch = np.ones((2, 2, 1))
-        patch[:, :, 0] = [[1.0, 2.0], [3.0, 4.0]]
-        kernels = np.ones((1, 2, 2))
-        out = spatial_conv_forward(patch, kernels, np.array([-100.0]))
-        np.testing.assert_array_equal(out, [[0.0]])  # relu clips 10 - 100
-        out = spatial_conv_forward(patch, kernels, np.array([0.5]))
-        np.testing.assert_array_equal(out, [[10.5]])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            spatial_conv_forward(np.zeros((3, 3)), np.zeros((1, 3, 3)), np.zeros(1))
-        with pytest.raises(ValueError):
-            spatial_conv_forward(
-                np.zeros((3, 3, 2)), np.zeros((1, 5, 5)), np.zeros(1)
-            )
-        with pytest.raises(ValueError):
-            spatial_conv_forward(
-                np.zeros((3, 3, 2)), np.zeros((1, 3, 3)), np.zeros(2)
-            )
+        # two all-ones filters over the plane [[1, 2], [3, 4]]
+        pixels = np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1)
+        bias = np.array([-100.0, 0.5])
+        _, pre = _conv_forward(pixels, np.ones((2, 4, 1)), bias, 1)
+        # relu clips 10 - 100
+        np.testing.assert_array_equal(relu(pre).ravel(), [0.0, 10.5])
 
 
 class TestPrimaryCaps:
@@ -309,16 +300,17 @@ class TestPrimaryCaps:
             features = rng.normal(size=(channels, in_maps))
             kernels = rng.normal(size=(arrays * dim, in_maps, f))
             bias = rng.normal(size=arrays * dim)
+            _, pre = _conv_forward(features.T[:, None], kernels, bias, stride)
             np.testing.assert_allclose(
-                primary_caps_forward(features, kernels, bias, stride, arrays, dim),
+                relu(pre[:, 0]).T.reshape(-1, arrays, dim),
                 oracle_primary_caps(features, kernels, bias, stride, arrays, dim),
                 atol=1e-12,
             )
 
     def test_regroup_convention(self):
         # size-1 kernels make each output map a known linear readout, so the
-        # capsule layout is directly visible: map a*dim + j lands in
-        # capsule (position, array a, component j)
+        # capsule layout is directly visible: the window layer reads map
+        # a*dim + j as (position, array a, component j)
         channels = 5
         features = np.stack([np.arange(channels, dtype=float),
                              np.full(channels, 100.0)], axis=1)
@@ -326,34 +318,16 @@ class TestPrimaryCaps:
         kernels[:, 0, 0] = 1.0
         for o in range(4):
             kernels[o, 1, 0] = o
-        caps = primary_caps_forward(features, kernels, np.zeros(4), 1, 2, 2)
-        assert caps.shape == (channels, 2, 2)
-        for t in range(channels):
-            for a in range(2):
-                for j in range(2):
-                    assert caps[t, a, j] == t + 100.0 * (a * 2 + j)
-
-    def test_regroup_mismatch(self):
-        with pytest.raises(ValueError):
-            primary_caps_forward(
-                np.zeros((6, 2)), np.zeros((4, 2, 3)), np.zeros(4), 1, 3, 2
-            )
-
-    def test_rejects_bad_shapes(self):
-        features = np.zeros((8, 2))
-        kernels = np.zeros((4, 2, 4))
-
-        def caps(features, kernels, bias, stride=1):
-            return primary_caps_forward(features, kernels, bias, stride, 2, 2)
-
-        with pytest.raises(ValueError):
-            caps(np.zeros((3, 2)), kernels, np.zeros(4))  # too short
-        with pytest.raises(ValueError):
-            caps(features, kernels, np.zeros(4), stride=0)  # bad stride
-        with pytest.raises(ValueError):
-            caps(features, np.zeros((4, 5, 4)), np.zeros(4))  # channels
-        with pytest.raises(ValueError):
-            caps(features, kernels, np.zeros(3))  # bias length
+        _, maps = _conv_forward(features.T[:, None], kernels, np.zeros(4), 1)
+        for a in range(2):
+            for j in range(2):
+                # a size-1 window tensor that passes capsule component (a, j)
+                picker = np.zeros((1, 1, 1, 2, 2))
+                picker[0, 0, 0, a, j] = 1.0
+                _, caps = _conv_forward(maps, _window_kernels(picker), np.zeros(1), 1)
+                assert caps.shape == (1, 1, channels)
+                for t in range(channels):
+                    assert caps[0, 0, t] == t + 100.0 * (a * 2 + j)
 
 
 class TestConvCaps:
@@ -370,45 +344,39 @@ class TestConvCaps:
             children = rng.normal(size=(positions, arrays, dim))
             tensors = rng.normal(size=(out_arrays, out_dim, window, arrays, dim))
             bias = rng.normal(size=(out_arrays, out_dim))
+            maps = children.reshape(positions, -1).T[:, None]
+            _, pre = _conv_forward(maps, _window_kernels(tensors), bias.ravel(), stride)
             np.testing.assert_allclose(
-                conv_caps_forward(children, tensors, bias, stride),
+                squash(pre[:, 0].T.reshape(-1, out_arrays, out_dim)),
                 oracle_conv_caps(children, tensors, bias, stride),
                 atol=1e-12,
             )
 
     def test_outputs_are_squashed(self):
         rng = np.random.default_rng(3)
-        out = conv_caps_forward(
-            rng.normal(0, 5, (7, 2, 3)),
-            rng.normal(size=(2, 4, 3, 2, 3)),
-            rng.normal(size=(2, 4)),
-            2,
-        )
-        assert (capsule_lengths(out) < 1.0).all()
+        params = miniature_params(3)
+        params.window_tensors = rng.normal(size=params.window_tensors.shape)
+        params.window_bias = rng.normal(size=params.window_bias.shape)
+        arch = MINIATURE_ARCHITECTURE
+        patches = rng.normal(0, 5, (4, arch.patch_size, arch.patch_size, arch.channels))
+        _, cache = forward_batch(params, patches, keep_cache=True)
+        (piece,) = cache.pieces
+        assert np.abs(piece.pre_window).max() > 1.0  # squashing has work to do
+        assert (capsule_lengths(piece.window_caps) < 1.0).all()
 
     def test_bias_applied_before_squash(self):
-        bias = np.array([[3.0, 4.0]])
-        out = conv_caps_forward(
-            np.zeros((3, 1, 2)), np.zeros((1, 2, 3, 1, 2)), bias, 1
+        # zero tensors leave each window capsule its bias, squashed
+        params = miniature_params()
+        params.window_tensors[:] = 0.0
+        params.window_bias[:] = [[3.0, 4.0, 0.0, 0.0], [0.0, -1.0, 2.0, 0.5]]
+        _, cache = forward_batch(params, TestModelEngine.random_patches(2), keep_cache=True)
+        window_caps = cache.pieces[0].window_caps
+        assert window_caps.shape == (2, MINIATURE_ARCHITECTURE.window_positions, 2, 4)
+        np.testing.assert_allclose(
+            window_caps,
+            np.broadcast_to(squash(params.window_bias), window_caps.shape),
+            atol=1e-15,
         )
-        np.testing.assert_allclose(out[0, 0], squash(bias[0]), atol=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            conv_caps_forward(np.zeros((4, 2)), np.zeros((1, 2, 3, 1, 2)), np.zeros((1, 2)), 1)
-        with pytest.raises(ValueError):
-            conv_caps_forward(
-                np.zeros((4, 2, 2)), np.zeros((1, 2, 3, 1, 3)), np.zeros((1, 2)), 1
-            )
-        with pytest.raises(ValueError):
-            conv_caps_forward(
-                np.zeros((4, 1, 2)), np.zeros((1, 2, 3, 1, 2)), np.zeros((2, 2)), 1
-            )
-        with pytest.raises(ValueError):
-            # window longer than the position axis
-            conv_caps_forward(
-                np.zeros((2, 1, 2)), np.zeros((1, 2, 3, 1, 2)), np.zeros((1, 2)), 1
-            )
 
 
 def random_routing_setup(seed, positions=3, arrays=2, dim=3, classes=3, out_dim=2):
@@ -419,31 +387,42 @@ def random_routing_setup(seed, positions=3, arrays=2, dim=3, classes=3, out_dim=
 
 
 class TestDynamicRouting:
+    """The class layer's routing on one sample: coupling and logits are
+    class-major (1, classes, children), child n = array * positions +
+    position."""
+
     def test_one_iteration_coupling_is_uniform(self):
         children, matrices = random_routing_setup(0)
-        _, state = dynamic_routing(children, matrices, 1)
-        np.testing.assert_array_equal(state.coupling, np.full((2, 3, 3), 1.0 / 3.0))
-        np.testing.assert_array_equal(state.logits, np.zeros((2, 3, 3)))
-        assert state.iterations == 1
+        _, (_, coupling, logits, cache) = _class_forward(children[None], matrices, 1, True)
+        np.testing.assert_array_equal(coupling, np.full((1, 3, 6), 1.0 / 3.0))
+        np.testing.assert_array_equal(logits, np.zeros((1, 3, 6)))
+        assert len(cache) == 1
 
     @pytest.mark.parametrize("iterations", [1, 2, 3, 4])
     def test_coupling_normalized_each_setting(self, iterations):
         children, matrices = random_routing_setup(1)
-        _, state = dynamic_routing(children, matrices, iterations)
-        np.testing.assert_allclose(state.coupling.sum(axis=-1), 1.0, atol=1e-12)
-        assert (state.coupling > 0).all()
+        _, (_, coupling, _, _) = _class_forward(children[None], matrices, iterations, False)
+        np.testing.assert_allclose(coupling.sum(axis=1), 1.0, atol=1e-12)
+        assert (coupling > 0).all()
 
     def test_matches_oracle(self):
         for seed in range(5):
             children, matrices = random_routing_setup(seed + 10)
             for iterations in (1, 2, 3):
-                acts, state = dynamic_routing(children, matrices, iterations)
+                _, (acts, coupling, logits, _) = _class_forward(
+                    children[None], matrices, iterations, False
+                )
                 want_acts, want_coupling, want_logits = oracle_routing(
                     children, matrices, iterations
                 )
-                np.testing.assert_allclose(acts, want_acts, atol=1e-12)
-                np.testing.assert_allclose(state.coupling, want_coupling, atol=1e-12)
-                np.testing.assert_allclose(state.logits, want_logits, atol=1e-12)
+                # the oracle's (arrays, positions, classes) as (classes, children)
+                np.testing.assert_allclose(acts[0], want_acts, atol=1e-12)
+                np.testing.assert_allclose(
+                    coupling[0], want_coupling.reshape(-1, 3).T, atol=1e-12
+                )
+                np.testing.assert_allclose(
+                    logits[0], want_logits.reshape(-1, 3).T, atol=1e-12
+                )
 
     def test_two_iteration_logits_are_the_agreement(self):
         # single child, single class: coupling is pinned at 1, so the logit
@@ -451,12 +430,12 @@ class TestDynamicRouting:
         children = np.ones((1, 1, 2))
         matrices = np.zeros((1, 1, 1, 2, 2))
         matrices[0, 0, 0] = [[3.0, 0.0], [0.0, 4.0]]  # prediction = (3, 4)
-        _, state = dynamic_routing(children, matrices, 2)
+        _, (_, coupling, logits, _) = _class_forward(children[None], matrices, 2, False)
         prediction = np.array([3.0, 4.0])
         parent = prediction * (5.0 / 26.0)
         want = float(prediction @ parent)  # 125 / 26
-        np.testing.assert_allclose(state.logits[0, 0, 0], want, rtol=1e-15)
-        np.testing.assert_array_equal(state.coupling, np.ones((1, 1, 1)))
+        np.testing.assert_allclose(logits[0, 0, 0], want, rtol=1e-15)
+        np.testing.assert_array_equal(coupling, np.ones((1, 1, 1)))
 
     def test_agreement_shifts_coupling_toward_aligned_class(self):
         # class 1's matrices produce long consistent predictions, class 2's
@@ -466,21 +445,20 @@ class TestDynamicRouting:
         matrices = np.zeros((2, 3, 2, 2, 3))
         matrices[:, :, 0, 0, 0] = 4.0  # aligned on the first component
         matrices[:, :, 1] = rng.normal(0, 0.1, (2, 3, 2, 3))
-        _, state = dynamic_routing(np.abs(children), matrices, 3)
-        assert (state.coupling[..., 0] > 0.5).all()
+        _, (_, coupling, _, _) = _class_forward(np.abs(children)[None], matrices, 3, False)
+        assert (coupling[:, 0] > 0.5).all()
 
     def test_validation(self):
         children, matrices = random_routing_setup(0)
-        with pytest.raises(ValueError):
-            dynamic_routing(children, matrices, 0)
-        with pytest.raises(ValueError):
-            dynamic_routing(children[:2], matrices, 3)
-        with pytest.raises(ValueError):
-            dynamic_routing(children[:, 0], matrices, 3)
+        with pytest.raises(ValueError, match="at least one routing iteration"):
+            _class_forward(children[None], matrices, 0, False)
+        with pytest.raises(ValueError, match="at least one routing iteration"):
+            forward_batch(miniature_params(), TestModelEngine.random_patches(2), 0)
 
 
 class TestModelEngine:
-    def random_patches(self, count, seed=0, scale=1.0, arch=MINIATURE_ARCHITECTURE):
+    @staticmethod
+    def random_patches(count, seed=0, scale=1.0, arch=MINIATURE_ARCHITECTURE):
         rng = np.random.default_rng(seed)
         return rng.normal(
             0, scale, (count, arch.patch_size, arch.patch_size, arch.channels)
@@ -498,15 +476,21 @@ class TestModelEngine:
         assert len(cache.pieces[0].routing) == 3
 
     def test_batch_matches_single_sample_pipeline(self):
+        # the straight-loop oracles chained one sample at a time share no code
+        # with the engine; DISTINCT_ARCHITECTURE's unequal widths pin every
+        # layout view, the map-to-capsule regrouping included
         for arch in (MINIATURE_ARCHITECTURE, DISTINCT_ARCHITECTURE):
             params = init_params(arch, 5)
             patches = self.random_patches(3, seed=6, arch=arch)
-            batch_acts, _ = forward_batch(params, patches, routing_iters=3)
+            batch_acts, cache = forward_batch(
+                params, patches, routing_iters=3, keep_cache=True
+            )
+            (piece,) = cache.pieces
             for b in range(3):
-                spatial = spatial_conv_forward(
+                spatial = oracle_spatial_conv(
                     patches[b], params.spatial_kernels, params.spatial_bias
                 )
-                primary = primary_caps_forward(
+                primary = oracle_primary_caps(
                     spatial,
                     params.primary_kernels,
                     params.primary_bias,
@@ -514,13 +498,16 @@ class TestModelEngine:
                     arch.capsule_arrays,
                     arch.capsule_dim,
                 )
-                window = conv_caps_forward(
+                window = oracle_conv_caps(
                     primary,
                     params.window_tensors,
                     params.window_bias,
                     arch.window_stride,
                 )
-                acts, _ = dynamic_routing(window, params.class_matrices, 3)
+                acts, _, _ = oracle_routing(window, params.class_matrices, 3)
+                np.testing.assert_allclose(
+                    piece.window_caps[b], window, atol=1e-12, err_msg=str(arch)
+                )
                 np.testing.assert_allclose(
                     batch_acts[b], acts, atol=1e-12, err_msg=str(arch)
                 )
