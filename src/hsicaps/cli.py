@@ -46,6 +46,7 @@ from .layers import (
     read_checkpoint,
 )
 from .metrics import MarginConfig, format_metrics_kv, format_metrics_table
+from .numerics import check_seed
 from .training import (
     TrainConfig,
     TrainingDiverged,
@@ -154,9 +155,9 @@ def finite_float(text: str) -> float:
 
 
 def seed_int(text: str) -> int:
-    """``int(text)`` if ``TrainConfig`` takes it as a seed, else a flag error."""
+    """``int(text)`` if it is a seed, else a flag error."""
     try:
-        return TrainConfig(seed=int(text)).seed
+        return check_seed(int(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import run_pieces
+from .numerics import check_seed, run_pieces
 
 __all__ = [
     "ClassSplit",
@@ -468,8 +468,7 @@ def stratified_split(
         raise ValueError(f"fractions must be positive, got {fractions}")
     if train_frac + val_frac >= 1:
         raise ValueError(f"fractions must sum to less than 1, got {fractions}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    seed = check_seed(seed)
     rng = np.random.default_rng(seed)
     classes: dict[int, ClassSplit] = {}
     skipped: list[int] = []

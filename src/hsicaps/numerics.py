@@ -1,6 +1,6 @@
 """Dense numerical primitives shared by every layer.
 
-The ReLU pair, the output-length law of valid-padding convolutions (nothing
+The ReLU pair, the seed rule, the output-length law of valid-padding convolutions (nothing
 pads implicitly: ``floor((length - kernel) / stride) + 1``), a
 central-difference checker for the hand-written backward passes, and
 ``run_pieces``, which runs model pieces and preprocessing row chunks on the
@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "GradCheckReport",
+    "check_seed",
     "conv1d_output_length",
     "finite_difference_check",
     "relu",
@@ -42,6 +43,17 @@ def relu_grad(pre_activation: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     The derivative at exactly zero is taken as zero.
     """
     return np.where(pre_activation > 0, upstream, 0.0)
+
+
+def check_seed(value, name: str = "seed") -> int:
+    """``value`` as an int if it is an integer in [0, 2**64), numpy integers
+    included, else ``ValueError``: the seeds and counters numpy's generators
+    and the checkpoint trailer take.  ``True`` is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= int(value) < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return int(value)
 
 
 def conv1d_output_length(length: int, kernel_size: int, stride: int) -> int:

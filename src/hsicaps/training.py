@@ -26,7 +26,7 @@ from .layers import (
     predict_classes,
 )
 from .metrics import ConfusionMatrix, MarginConfig, margin_loss_batch
-from .numerics import GradCheckReport, finite_difference_check
+from .numerics import GradCheckReport, check_seed, finite_difference_check
 
 __all__ = [
     "AdamState",
@@ -68,8 +68,7 @@ class TrainConfig:
             raise ValueError("Adam betas must lie in [0, 1)")
         if not 0 < self.adam_eps < np.inf:
             raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        self.seed = check_seed(self.seed)
 
 
 @dataclass

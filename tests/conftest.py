@@ -47,6 +47,19 @@ def shrink_prediction_budget(samples, monkeypatch, arch=MINIATURE_ARCHITECTURE):
     monkeypatch.setattr(hsicaps.layers, "_PREDICTION_BUDGET", budget)
 
 
+def shrink_child_blocks(
+    children,
+    monkeypatch,
+    classes=MINIATURE_ARCHITECTURE.num_classes,
+    out_dim=MINIATURE_ARCHITECTURE.class_capsule_dim,
+):
+    """Shrink the routing's child blocks to ``children`` children of a class
+    layer with ``classes`` classes of ``out_dim`` dimensions; the miniature
+    setup's 8 children then run as blocks of 3, 3 and 2."""
+    budget = children * 8 * classes * out_dim
+    monkeypatch.setattr(hsicaps.layers, "_CHILD_BLOCK_BYTES", budget)
+
+
 def shrink_row_chunks(rows, channels, monkeypatch):
     """Shrink the preprocessing chunk so that it holds ``rows`` pixel rows of
     a ``channels``-channel cube; a cube of more than two chunks then runs on

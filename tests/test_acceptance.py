@@ -24,9 +24,9 @@ from hsicaps.data import (
 from hsicaps.layers import (
     Architecture,
     _agree,
+    _by_class,
     _class_forward,
     _conv_forward,
-    _routing_forward,
     _window_kernels,
     param_count,
     squash,
@@ -40,6 +40,7 @@ from conftest import (
     oracle_primary_caps,
     oracle_routing,
     oracle_spatial_conv,
+    shrink_child_blocks,
 )
 
 
@@ -149,18 +150,26 @@ def test_criterion_04_routing_invariants():
         increment = _agree(view, parents)
         assert increment.shape == (1, 1, 1)
         assert increment[0, 0, 0] == norm_sq
-        # and routing adds exactly that increment to the zero start
-        _, _, logits, cache = _routing_forward(view, 2, True)
-        np.testing.assert_array_equal(logits, _agree(view, cache[0][2]))
+        # and routing adds exactly that increment to the zero start: the
+        # child (1, 0) picks the matrix column that holds the vector
+        matrices = np.zeros((1, 1, 1, 2, 2))
+        matrices[..., 0] = vector
+        children = np.array([1.0, 0.0]).reshape(1, 1, 1, 2)
+        predictions, (_, _, logits, cache) = _class_forward(children, matrices, 2, True)
+        np.testing.assert_array_equal(predictions[0, 0, 0], vector)
+        np.testing.assert_array_equal(
+            logits, _agree(_by_class(predictions), cache[0][2])
+        )
 
 
-def test_criterion_05_brute_force_layer_equivalence():
+def test_criterion_05_brute_force_layer_equivalence(monkeypatch):
     """All four layers against straight-loop oracles: 100 random small
     instances each (every instance under 200 parameters), within 1e-10.
 
     The layers run as the model runs them: the three convolutions through
     the maps-first (in_maps, B, length) convolution, the class layer through
-    the class-major engine, whose child n is array * positions + position.
+    the routing engine, whose child n is array * positions + position, both
+    as one block of children and in blocks of two.
     """
     rng = np.random.default_rng(42)
 
@@ -229,20 +238,22 @@ def test_criterion_05_brute_force_layer_equivalence():
         children = rng.normal(size=(positions, arrays, dim))
         matrices = rng.normal(size=(arrays, positions, classes, out_dim, dim))
         assert matrices.size <= 200
-        _, (acts, coupling, logits, _) = _class_forward(
-            children[None], matrices, iterations, False
-        )
+        routed = [_class_forward(children[None], matrices, iterations, False)[1]]
+        with monkeypatch.context() as patch:
+            shrink_child_blocks(2, patch, classes, out_dim)
+            routed.append(_class_forward(children[None], matrices, iterations, False)[1])
         want_acts, want_coupling, want_logits = oracle_routing(
             children, matrices, iterations
         )
-        np.testing.assert_allclose(acts[0], want_acts, atol=1e-10)
-        # the oracle's (arrays, positions, classes) as (classes, children)
-        np.testing.assert_allclose(
-            coupling[0], want_coupling.reshape(-1, classes).T, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            logits[0], want_logits.reshape(-1, classes).T, atol=1e-10
-        )
+        for acts, coupling, logits, _ in routed:
+            np.testing.assert_allclose(acts[0], want_acts, atol=1e-10)
+            # the oracle's (arrays, positions, classes) as (classes, children)
+            np.testing.assert_allclose(
+                coupling[0], want_coupling.reshape(-1, classes).T, atol=1e-10
+            )
+            np.testing.assert_allclose(
+                logits[0], want_logits.reshape(-1, classes).T, atol=1e-10
+            )
 
 
 def test_criterion_06_whitening_contract():

@@ -518,6 +518,21 @@ class TestStratifiedSplit:
             with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
                 stratified_split(cube, (0.2, 0.1), seed)
 
+    @pytest.mark.parametrize("seed", [0.5, True], ids=repr)
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            stratified_split(self.labeled_cube({1: 10}), (0.2, 0.1), seed)
+
+    def test_numpy_integer_seed_matches_int(self):
+        cube = self.labeled_cube({1: 10, 2: 12})
+        split = stratified_split(cube, (0.2, 0.1), np.uint64(7))
+        assert type(split.seed) is int
+        for part in ("train", "val", "test"):
+            for got, want in zip(
+                split.subset(part), stratified_split(cube, (0.2, 0.1), 7).subset(part)
+            ):
+                np.testing.assert_array_equal(got, want)
+
     def test_subset_concatenation_is_class_ordered(self):
         cube = self.labeled_cube({1: 10, 2: 10})
         split = stratified_split(cube, (0.2, 0.1), seed=0)

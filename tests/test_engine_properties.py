@@ -2,8 +2,9 @@
 
 Each example draws a small architecture whose widths mostly differ (so a
 swapped axis in a layout view cannot pass by coincidence), a routing depth,
-a batch, and a prediction budget small enough that the call runs as one or
-two sample pieces.  The engine is then compared with the straight-loop
+a batch, a prediction budget small enough that the call runs as one or two
+sample pieces, and a child block small enough that routing runs over one or
+more blocks of children.  The engine is then compared with the straight-loop
 oracles in ``conftest.py``, with directional central differences, and with
 itself run as one whole call.  Hypothesis runs derandomized, so the examples
 are the same on every run; ``pytest --hypothesis-show-statistics`` prints the
@@ -31,6 +32,7 @@ from conftest import (
     oracle_primary_caps,
     oracle_routing,
     oracle_spatial_conv,
+    shrink_child_blocks,
 )
 
 ENGINE_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
@@ -81,7 +83,8 @@ def architectures(draw):
 
 @st.composite
 def engine_cases(draw):
-    """(params, patches, routing depth, samples per prediction budget)."""
+    """(params, patches, routing depth, samples per prediction budget,
+    children per routing block)."""
     arch = draw(architectures())
     batch = draw(st.integers(1, 40))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -94,16 +97,24 @@ def engine_cases(draw):
     patches = rng.normal(
         0.0, 1.0, (batch, arch.patch_size, arch.patch_size, arch.channels)
     )
-    return params, patches, draw(st.integers(1, 5)), draw(st.integers(1, 40))
+    return (
+        params,
+        patches,
+        draw(st.integers(1, 5)),
+        draw(st.integers(1, 40)),
+        draw(st.integers(1, 12)),
+    )
 
 
 @contextmanager
-def shrunk_budget(arch, samples):
-    """A prediction budget that ``samples`` samples of ``arch`` fit, undone
-    on exit (a function-scoped fixture would outlive one example)."""
+def shrunk(arch, samples, children):
+    """A prediction budget that ``samples`` samples of ``arch`` fit, and
+    routing blocks of ``children`` children, undone on exit (a
+    function-scoped fixture would outlive one example)."""
     with pytest.MonkeyPatch.context() as patch:
         budget = samples * hsicaps.layers._prediction_bytes(arch)
         patch.setattr(hsicaps.layers, "_PREDICTION_BUDGET", budget)
+        shrink_child_blocks(children, patch, arch.num_classes, arch.class_capsule_dim)
         yield
 
 
@@ -128,8 +139,8 @@ def oracle_forward(params, patch, iterations):
 @ENGINE_SETTINGS
 @given(case=engine_cases())
 def test_forward_matches_chained_oracles(case):
-    params, patches, iterations, budget = case
-    with shrunk_budget(params.arch, budget):
+    params, patches, iterations, budget, children = case
+    with shrunk(params.arch, budget, children):
         acts, _ = forward_batch(params, patches, iterations)
         pieces = hsicaps.layers._pieces(params.arch, len(patches))
     # the first and last sample of every piece
@@ -144,8 +155,8 @@ def test_forward_matches_chained_oracles(case):
 @ENGINE_SETTINGS
 @given(case=engine_cases())
 def test_backward_matches_directional_differences(case):
-    params, patches, iterations, budget = case
-    with shrunk_budget(params.arch, budget):
+    params, patches, iterations, budget, children = case
+    with shrunk(params.arch, budget, children):
         check_directional_differences(params, patches, iterations)
 
 
@@ -181,15 +192,17 @@ def check_directional_differences(params, patches, iterations):
 @ENGINE_SETTINGS
 @given(case=engine_cases())
 def test_piece_cuts_match_one_whole_call(case):
-    params, patches, iterations, budget = case
+    params, patches, iterations, budget, children = case
     upstream = np.random.default_rng(1).normal(
         size=(len(patches), params.arch.num_classes, params.arch.class_capsule_dim)
     )
-    whole_acts, whole_cache = forward_batch(params, patches, iterations, keep_cache=True)
-    assert len(whole_cache.pieces) == 1
-    whole_grads = backward_batch(params, whole_cache, upstream)
-
-    with shrunk_budget(params.arch, budget):
+    with shrunk(params.arch, 40, children):
+        whole_acts, whole_cache = forward_batch(
+            params, patches, iterations, keep_cache=True
+        )
+        assert len(whole_cache.pieces) == 1
+        whole_grads = backward_batch(params, whole_cache, upstream)
+    with shrunk(params.arch, budget, children):
         acts, cache = forward_batch(params, patches, iterations, keep_cache=True)
         grads = backward_batch(params, cache, upstream)
     # pieces are cut at multiples of 8 samples, so activations match bit for bit

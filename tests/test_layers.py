@@ -18,6 +18,7 @@ from hsicaps.cli import RunConfig
 from hsicaps.layers import (
     _ARCH_STRUCT,
     ARCH_WIRE_FIELDS,
+    _child_blocks,
     _class_forward,
     _conv_forward,
     _pieces,
@@ -51,6 +52,7 @@ from conftest import (
     oracle_routing,
     oracle_spatial_conv,
     oracle_squash_vector,
+    shrink_child_blocks,
     shrink_prediction_budget,
 )
 
@@ -555,6 +557,18 @@ class TestModelEngine:
         assert grads["primary_kernels"][0].any()
 
     def test_gradients_match_finite_differences(self):
+        self.check_gradients_by_finite_differences()
+
+    def test_gradients_match_finite_differences_in_child_blocks(self, monkeypatch):
+        # 3 children a block: 3, 3, 2 of the miniature setup's 8 and 3, 3, 2,
+        # 2 of the distinct setup's 10
+        shrink_child_blocks(3, monkeypatch)
+        for arch in (MINIATURE_ARCHITECTURE, DISTINCT_ARCHITECTURE):
+            shape = init_params(arch).class_matrices.shape
+            assert len(_child_blocks(shape)) > 2, arch
+        self.check_gradients_by_finite_differences()
+
+    def check_gradients_by_finite_differences(self):
         # linear readout loss so the upstream gradient is a constant tensor;
         # every parameter family is checked coordinate by coordinate
         for arch in (MINIATURE_ARCHITECTURE, DISTINCT_ARCHITECTURE):
@@ -572,6 +586,37 @@ class TestModelEngine:
             for name, arr in params.arrays():
                 report = finite_difference_check(loss, arr, grads[name], epsilon=1e-6)
                 assert report.max_relative_error < 1e-5, (arch, name)
+
+
+class TestChildBlocks:
+    """Routing runs over near-equal blocks of children that the class
+    layer's shape alone fixes."""
+
+    @staticmethod
+    def sizes(arch):
+        shape = ModelParams.expected_shapes(arch)["class_matrices"]
+        return [block.stop - block.start for block in _child_blocks(shape)]
+
+    def test_reference_shapes(self):
+        assert self.sizes(Architecture(channels=200, num_classes=16)) == [44] * 4
+        assert self.sizes(Architecture(channels=220, num_classes=16)) == [40, 39, 39, 39, 39]
+        assert self.sizes(Architecture(channels=103, num_classes=9)) == [80]
+        assert self.sizes(Architecture(channels=32, num_classes=3)) == [8]
+        assert self.sizes(MINIATURE_ARCHITECTURE) == [8]
+
+    def test_shrunk_blocks(self, monkeypatch):
+        shrink_child_blocks(3, monkeypatch)
+        assert self.sizes(MINIATURE_ARCHITECTURE) == [3, 3, 2]
+        shrink_child_blocks(1, monkeypatch)
+        assert self.sizes(MINIATURE_ARCHITECTURE) == [1] * 8
+        # a child larger than the cap still gets a block of its own
+        monkeypatch.setattr(hsicaps.layers, "_CHILD_BLOCK_BYTES", 1)
+        assert self.sizes(MINIATURE_ARCHITECTURE) == [1] * 8
+
+    def test_blocks_ignore_the_prediction_budget(self, monkeypatch):
+        reference = Architecture(channels=200, num_classes=16)
+        shrink_prediction_budget(1, monkeypatch, reference)
+        assert self.sizes(reference) == [44] * 4
 
 
 class TestHalves:
@@ -601,6 +646,17 @@ class TestHalves:
 
     @pytest.mark.parametrize("count", [24, 37])
     def test_split_call_matches_whole_call(self, count, monkeypatch):
+        self.check_split_call_matches_whole_call(count, monkeypatch)
+
+    @pytest.mark.parametrize("count", [24, 37])
+    def test_split_call_matches_whole_call_in_child_blocks(self, count, monkeypatch):
+        # both calls route in blocks of 3, 3 and 2 children; shrinking the
+        # prediction budget for the split call must not move the blocks
+        shrink_child_blocks(3, monkeypatch)
+        self.check_split_call_matches_whole_call(count, monkeypatch)
+
+    @staticmethod
+    def check_split_call_matches_whole_call(count, monkeypatch):
         params = miniature_params(3)
         rng = np.random.default_rng(4)
         patches = rng.normal(size=(count, 3, 3, 24))
@@ -793,6 +849,20 @@ class TestCheckpoint:
         bad.write_bytes(blob[:59])
         with pytest.raises(CheckpointFormatError, match="truncated"):
             read_checkpoint(str(bad))
+
+    @pytest.mark.parametrize("counter", ["step", "seed"])
+    @pytest.mark.parametrize("value", [0.5, True], ids=repr)
+    def test_rejects_non_integer_counters(self, counter, value, tmp_path):
+        path = tmp_path / "m.cckp"
+        counters = {"step": 0, "seed": 0, counter: value}
+        with pytest.raises(ValueError, match="step and seed must be an integer"):
+            save_checkpoint(str(path), self.float32_params(), **counters)
+        assert not path.exists()
+
+    def test_numpy_integer_counters_round_trip(self, tmp_path):
+        path = str(tmp_path / "m.cckp")
+        save_checkpoint(path, self.float32_params(), step=np.uint64(7), seed=np.int64(9))
+        assert load_checkpoint(path)[1:] == (7, 9)
 
     def test_rejects_negative_counters(self, tmp_path):
         # and counters past the u64 trailer fields

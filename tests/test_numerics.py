@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hsicaps.layers import _conv_forward
 from hsicaps.metrics import margin_loss_batch
 from hsicaps.numerics import (
+    check_seed,
     conv1d_output_length,
     finite_difference_check,
     relu,
@@ -200,3 +201,28 @@ class TestFiniteDifferenceCheck:
     def test_non_finite_epsilon_rejected(self, epsilon):
         with pytest.raises(ValueError, match=f"epsilon .* got {epsilon}"):
             finite_difference_check(lambda p: float(p.sum()), np.ones(2), np.ones(2), epsilon)
+
+
+class TestCheckSeed:
+    @pytest.mark.parametrize(
+        "value", [0.5, True, np.float64(3.0), "3", None], ids=repr
+    )
+    def test_non_integer_refused(self, value):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            check_seed(value)
+
+    @pytest.mark.parametrize("value", [-1, 2**64, np.int64(-1)], ids=repr)
+    def test_outside_64_bits_refused(self, value):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            check_seed(value)
+
+    @pytest.mark.parametrize(
+        "value", [0, 2**64 - 1, np.uint64(7), np.int32(7), np.uint64(2**64 - 1)], ids=repr
+    )
+    def test_integers_accepted_as_int(self, value):
+        seed = check_seed(value)
+        assert type(seed) is int and seed == int(value)
+
+    def test_name_in_message(self):
+        with pytest.raises(ValueError, match="step must be an integer"):
+            check_seed(1.0, "step")

@@ -82,6 +82,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [0.5, True], ids=repr)
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            TrainConfig(seed=seed)
+
+    def test_numpy_integer_seed_kept_as_int(self):
+        config = TrainConfig(seed=np.uint64(7))
+        assert type(config.seed) is int and config.seed == 7
+
     @pytest.mark.parametrize("name", ["learning_rate", "adam_eps"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_setting_rejected(self, name, value):
