@@ -368,11 +368,12 @@ def _window_kernels(tensors: np.ndarray) -> np.ndarray:
 # classes, out_dim).
 
 # Most bytes of one sample's predictions in a block.  At 200/16 this cuts the
-# 176 children of 2 KiB into four blocks of 44, which in a batch-64 training
-# step beat one block, two of 88 and eight of 22; 103/9 (80 children, 90 KiB)
-# and smaller run as one block.  The blocks follow from the class layer's
-# shape alone, so sums over children run in one order whatever the pieces.
-_CHILD_BLOCK_BYTES = 96 * 2**10
+# 176 children of 2 KiB into two blocks of 88, which in batch-64 training
+# steps beat one block and three, four or eight blocks; 103/9 (80 children,
+# 90 KiB) and smaller run as one block.  The blocks follow from the class
+# layer's shape alone, so sums over children run in one order whatever the
+# pieces.
+_CHILD_BLOCK_BYTES = 192 * 2**10
 
 
 def _child_blocks(matrices_shape: tuple[int, ...]) -> list[slice]:

@@ -21,7 +21,7 @@ RECORDED_BLAS = (
     "SkylakeX",
     "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
 )
-RECORDED_DIGEST = "67ec00aa0e59bfb59649876af2dba30a260dd73a4af091e69ff0c47a9a2c1f96"
+RECORDED_DIGEST = "0a2b5e0dee0b031173758090839d29f45e9fb99f0051ae8312da4c88122abf2f"
 
 DIGEST_SCRIPT = """
 import ctypes, glob, hashlib, os

@@ -598,8 +598,8 @@ class TestChildBlocks:
         return [block.stop - block.start for block in _child_blocks(shape)]
 
     def test_reference_shapes(self):
-        assert self.sizes(Architecture(channels=200, num_classes=16)) == [44] * 4
-        assert self.sizes(Architecture(channels=220, num_classes=16)) == [40, 39, 39, 39, 39]
+        assert self.sizes(Architecture(channels=200, num_classes=16)) == [88, 88]
+        assert self.sizes(Architecture(channels=220, num_classes=16)) == [66, 65, 65]
         assert self.sizes(Architecture(channels=103, num_classes=9)) == [80]
         assert self.sizes(Architecture(channels=32, num_classes=3)) == [8]
         assert self.sizes(MINIATURE_ARCHITECTURE) == [8]
@@ -616,7 +616,7 @@ class TestChildBlocks:
     def test_blocks_ignore_the_prediction_budget(self, monkeypatch):
         reference = Architecture(channels=200, num_classes=16)
         shrink_prediction_budget(1, monkeypatch, reference)
-        assert self.sizes(reference) == [44] * 4
+        assert self.sizes(reference) == [88, 88]
 
 
 class TestHalves:
