@@ -426,10 +426,11 @@ def _class_forward(
     (coupling, weighted sums, parents) when ``keep``)); child (array i,
     position j) is ``children[:, j, i]``.
 
-    Logits start at zero (uniform coupling), whose sums are taken as each
-    block of predictions is written.  Each later iteration adds the
-    agreement of the predictions with the last parents to the logits,
-    softmaxes them over classes and forms the weighted sums, block by block.
+    Logits start at zero, so the first iteration's coupling is uniform and
+    its sums are taken as each block of predictions is written.  Each later
+    iteration adds the agreement of the predictions with the last parents to
+    the logits, softmaxes them over classes and forms the weighted sums,
+    block by block.
     """
     if iterations < 1:
         raise ValueError(f"need at least one routing iteration, got {iterations}")

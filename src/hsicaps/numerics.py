@@ -1,8 +1,8 @@
 """Dense numerical primitives shared by every layer.
 
-The ReLU pair, the seed rule, the output-length law of valid-padding convolutions (nothing
-pads implicitly: ``floor((length - kernel) / stride) + 1``), a
-central-difference checker for the hand-written backward passes, and
+The ReLU pair, the seed rule, the output-length law of valid-padding
+convolutions (nothing pads implicitly: ``floor((length - kernel) / stride)
++ 1``), a central-difference checker for the hand-written backward passes, and
 ``run_pieces``, which runs model pieces and preprocessing row chunks on the
 calling thread and the package's one worker thread.
 """
