@@ -33,6 +33,7 @@ from conftest import (
     oracle_routing,
     oracle_spatial_conv,
     shrink_child_blocks,
+    shrink_prediction_budget,
 )
 
 ENGINE_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
@@ -112,8 +113,7 @@ def shrunk(arch, samples, children):
     routing blocks of ``children`` children, undone on exit (a
     function-scoped fixture would outlive one example)."""
     with pytest.MonkeyPatch.context() as patch:
-        budget = samples * hsicaps.layers._prediction_bytes(arch)
-        patch.setattr(hsicaps.layers, "_PREDICTION_BUDGET", budget)
+        shrink_prediction_budget(samples, patch, arch)
         shrink_child_blocks(children, patch, arch.num_classes, arch.class_capsule_dim)
         yield
 
