@@ -372,8 +372,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     output_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or config.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
 
-    cube = load_cube(config.cube)
-    prepared = _prepared_cube(cube, config.whiten, config.whiten_epsilon)
+    # the raw cube is freed once whitened, before training starts
+    prepared = _prepared_cube(load_cube(config.cube), config.whiten, config.whiten_epsilon)
     split = stratified_split(
         prepared, (config.train_fraction, config.val_fraction), config.seed
     )
@@ -456,7 +456,6 @@ def cmd_render_map(args: argparse.Namespace) -> int:
         params,
         prepared,
         routing_iters=config.routing_iters,
-        batch_size=args.batch_size,
         labeled_only=args.labeled_only,
     )
     write_ppm(args.output, ids, palette)
@@ -528,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--labeled-only", action="store_true")
     p.add_argument("--palette", default="")
-    p.add_argument("--batch-size", type=int, default=512)
     p.set_defaults(func=cmd_render_map)
 
     return parser

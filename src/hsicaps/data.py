@@ -48,9 +48,8 @@ _CHUNK_BYTES = 2**20
 
 CUBE_MAGIC = b"HSIC"
 CUBE_VERSION = 1
-# magic(4) + version(1) + height(4) + width(4) + channels(4) + label flag(1)
-_HEADER = struct.Struct("<BIIIB")
-_HEADER_SIZE = 4 + _HEADER.size
+# magic, version, height, width, channels, label flag
+_HEADER = struct.Struct("<4sBIIIB")
 
 
 class CubeFormatError(ValueError):
@@ -189,8 +188,8 @@ def save_cube(cube: HsiCube, path: str) -> None:
     include_labels = bool(cube.labels.any())
     if include_labels and cube.num_classes() > np.iinfo(np.uint16).max:
         raise ValueError("label ids exceed the uint16 storage range")
-    header = CUBE_MAGIC + _HEADER.pack(
-        CUBE_VERSION, cube.height, cube.width, cube.channels, int(include_labels)
+    header = _HEADER.pack(
+        CUBE_MAGIC, CUBE_VERSION, cube.height, cube.width, cube.channels, int(include_labels)
     )
     chunks = [header, float32_payload(cube.values, "cube values")]
     if include_labels:
@@ -230,13 +229,11 @@ def load_cube(path: str) -> HsiCube:
         data = fh.read()
     if data[:4] != CUBE_MAGIC:
         raise CubeFormatError(f"bad magic {data[:4]!r}, expected {CUBE_MAGIC!r}", 0)
-    if len(data) < _HEADER_SIZE:
+    if len(data) < _HEADER.size:
         raise CubeFormatError(
-            f"truncated header: {len(data)} bytes, need {_HEADER_SIZE}", len(data)
+            f"truncated header: {len(data)} bytes, need {_HEADER.size}", len(data)
         )
-    version, height, width, channels, has_labels = _HEADER.unpack(
-        data[4:_HEADER_SIZE]
-    )
+    _, version, height, width, channels, has_labels = _HEADER.unpack_from(data)
     if version != CUBE_VERSION:
         raise CubeFormatError(f"unsupported version {version}", 4)
     if min(height, width, channels) < 1:
@@ -249,7 +246,7 @@ def load_cube(path: str) -> HsiCube:
     n_pixels = height * width
     values_bytes = n_pixels * channels * 4
     labels_bytes = n_pixels * 2 if has_labels else 0
-    expected = _HEADER_SIZE + values_bytes + labels_bytes
+    expected = _HEADER.size + values_bytes + labels_bytes
     if len(data) < expected:
         raise CubeFormatError(
             f"truncated payload: expected {expected} bytes total, file has {len(data)}",
@@ -261,7 +258,7 @@ def load_cube(path: str) -> HsiCube:
         )
 
     stored = np.frombuffer(
-        data, dtype="<f4", count=n_pixels * channels, offset=_HEADER_SIZE
+        data, dtype="<f4", count=n_pixels * channels, offset=_HEADER.size
     )
 
     def widen(chunk: np.ndarray, out: np.ndarray) -> bool:
@@ -275,11 +272,11 @@ def load_cube(path: str) -> HsiCube:
         first = int(np.argmin(np.isfinite(stored)))
         raise CubeFormatError(
             f"non-finite value {stored[first]} at value index {first}",
-            _HEADER_SIZE + 4 * first,
+            _HEADER.size + 4 * first,
         )
     if has_labels:
         labels = (
-            np.frombuffer(data, dtype="<u2", count=n_pixels, offset=_HEADER_SIZE + values_bytes)
+            np.frombuffer(data, dtype="<u2", count=n_pixels, offset=_HEADER.size + values_bytes)
             .reshape(height, width)
             .astype(np.int32)
         )

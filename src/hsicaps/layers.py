@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -59,20 +59,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Architecture:
-    """Shape parameters of the four-layer classifier.
+    """Shape parameters of the four-layer classifier, given by keyword.
 
     The defaults (everything except ``channels`` and ``num_classes``) are the
     reference setup this package ships with: 7x7 spatial filtering into 16
     maps, a size-9 stride-2 spectral convolution into 2 arrays of 8D capsules,
     a size-9 stride-2 capsule convolution into 4 arrays of 8D capsules, and
-    16D class capsules.
+    16D class capsules.  The fields are declared in the order a checkpoint
+    stores them.
     """
 
-    channels: int
-    num_classes: int
     patch_size: int = 7
+    channels: int
     spatial_filters: int = 16
     primary_kernel_size: int = 9
     primary_stride: int = 2
@@ -82,6 +82,7 @@ class Architecture:
     window_stride: int = 2
     window_count: int = 4
     window_capsule_dim: int = 8
+    num_classes: int
     class_capsule_dim: int = 16
 
     def __post_init__(self) -> None:
@@ -618,9 +619,10 @@ def forward_batch(
     Returns ((B, classes, out_dim) class-capsule activations, cache), the
     cache only when ``keep_cache``.  A batch whose prediction tensor exceeds
     ``_PREDICTION_BUDGET`` runs as two pieces on two threads, cut at a
-    multiple of 8 samples; samples do not interact, so the activations are
-    those of one whole call.  Raises FloatingPointError if the output goes
-    non-finite.
+    multiple of 8 samples; samples do not interact, so when the batch size is
+    a multiple of 8 the activations are those of one whole call bit for bit,
+    and otherwise up to rounding.  Raises FloatingPointError if the output
+    goes non-finite.
     """
     arch = params.arch
     patches = np.ascontiguousarray(patches, dtype=np.float64)
@@ -778,24 +780,8 @@ def _backward_body(
 
 CHECKPOINT_MAGIC = b"CCKP"
 CHECKPOINT_VERSION = 2
-# wire order of the architecture block
-ARCH_WIRE_FIELDS = (
-    "patch_size",
-    "channels",
-    "spatial_filters",
-    "primary_kernel_size",
-    "primary_stride",
-    "capsule_arrays",
-    "capsule_dim",
-    "window_size",
-    "window_stride",
-    "window_count",
-    "window_capsule_dim",
-    "num_classes",
-    "class_capsule_dim",
-)
-_ARCH_STRUCT = struct.Struct("<13I")
-_SETTINGS_LENGTH = struct.Struct("<I")
+# magic, version, the Architecture fields, settings length
+_CHECKPOINT_HEADER = struct.Struct(f"<4sB{len(fields(Architecture))}II")
 _TRAILER_STRUCT = struct.Struct("<QQ")
 
 
@@ -811,11 +797,8 @@ def encode_checkpoint(
     is not finite in float32 raises ``ValueError``."""
     step, seed = (check_seed(value, "step and seed") for value in (step, seed))
     text = settings.encode("utf-8")
-    header = (
-        CHECKPOINT_MAGIC
-        + struct.pack("<B", CHECKPOINT_VERSION)
-        + _ARCH_STRUCT.pack(*(getattr(params.arch, name) for name in ARCH_WIRE_FIELDS))
-        + _SETTINGS_LENGTH.pack(len(text))
+    header = _CHECKPOINT_HEADER.pack(
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *astuple(params.arch), len(text)
     )
     payload = [float32_payload(arr, name) for name, arr in params.arrays()]
     return [header, text, *payload, _TRAILER_STRUCT.pack(step, seed)]
@@ -845,18 +828,17 @@ def read_checkpoint(path: str) -> tuple[ModelParams, int, int, str]:
         raise CheckpointFormatError(
             f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}"
         )
-    settings_at = 5 + _ARCH_STRUCT.size + _SETTINGS_LENGTH.size
+    settings_at = _CHECKPOINT_HEADER.size
     if len(data) < settings_at:
         raise CheckpointFormatError("truncated header")
-    if data[4] != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported version {data[4]}")
-    wire = _ARCH_STRUCT.unpack(data[5 : 5 + _ARCH_STRUCT.size])
+    _, version, *wire, length = _CHECKPOINT_HEADER.unpack_from(data)
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointFormatError(f"unsupported version {version}")
     try:
-        arch = Architecture(**dict(zip(ARCH_WIRE_FIELDS, wire)))
+        arch = Architecture(**{f.name: value for f, value in zip(fields(Architecture), wire)})
     except ValueError as exc:
         raise CheckpointFormatError(f"invalid architecture block: {exc}") from exc
 
-    (length,) = _SETTINGS_LENGTH.unpack_from(data, settings_at - _SETTINGS_LENGTH.size)
     offset = settings_at + length
     shapes = ModelParams.expected_shapes(arch)
     payload = sum(math.prod(s) * 4 for s in shapes.values())

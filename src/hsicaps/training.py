@@ -151,6 +151,17 @@ class TrainingDiverged(RuntimeError):
         self.batch_index = batch_index
 
 
+def _refuse_non_finite_patches(patches: np.ndarray, coords: np.ndarray) -> None:
+    """Raise ValueError naming the first pixel whose patch holds a cube value
+    that is not finite; called only once a forward pass has failed."""
+    bad = ~np.isfinite(patches).all(axis=(1, 2, 3))
+    if bad.any():
+        row, col = coords[np.argmax(bad)]
+        raise ValueError(
+            f"the cube holds a non-finite value in the patch of pixel ({row}, {col})"
+        )
+
+
 def predict_coords(
     params: ModelParams,
     cube: HsiCube,
@@ -165,7 +176,8 @@ def predict_coords(
     block computes what a whole-batch call computes.  Where a call's sample
     count is not a multiple of 8, BLAS may round a product differently, so
     activations can differ from an unblocked run by rounding error; class
-    ids did not differ in any check.
+    ids did not differ in any check.  A cube value that is not finite in a
+    patch raises ``ValueError``.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -179,7 +191,11 @@ def predict_coords(
     for start in range(0, len(coords), block):
         chunk = coords[start : start + block]
         patches = extract_patches(cube, chunk, params.arch.patch_size)
-        activations, _ = forward_batch(params, patches, routing_iters)
+        try:
+            activations, _ = forward_batch(params, patches, routing_iters)
+        except FloatingPointError:
+            _refuse_non_finite_patches(patches, chunk)
+            raise
         out[start : start + block] = predict_classes(activations)
     return out
 
@@ -222,6 +238,8 @@ def train(
     Raises:
         TrainingDiverged: if the loss, a gradient, or an update goes
             non-finite.
+        ValueError: instead, if a batch's patches hold a cube value that is
+            not finite.
     """
     train_coords, train_labels = split.subset("train")
     val_coords, _ = split.subset("val")
@@ -268,6 +286,7 @@ def train(
                     config.adam_eps,
                 )
             except FloatingPointError as exc:
+                _refuse_non_finite_patches(patches, train_coords[chosen])
                 raise TrainingDiverged(epoch, batch_index) from exc
             loss_sum += loss * len(chosen)
             # the cache holds the batch's prediction tensor; without this it

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,28 @@ class TestTrainCommand:
         assert main(["train", str(config_path)]) == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_raw_cube_freed_before_training(self, toy_cube_path, tmp_path, monkeypatch):
+        loaded, alive_at_train = [], []
+
+        def watched_load(path):
+            cube = load_cube(path)
+            loaded.append(weakref.ref(cube))
+            return cube
+
+        def watched_train(*args):
+            alive_at_train.append(loaded[0]() is not None)
+            return hsicaps.training.train(*args)
+
+        monkeypatch.setattr(hsicaps.cli, "load_cube", watched_load)
+        monkeypatch.setattr(hsicaps.cli, "train", watched_train)
+        config = RunConfig(
+            cube=toy_cube_path, output_dir=str(tmp_path / "out"), epochs=1, whiten=True
+        )
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(serialize_config(config))
+        assert main(["train", str(config_path)]) == 0
+        assert alive_at_train == [False]
+
     @pytest.mark.parametrize("seed", [2**64, -1])
     def test_seed_outside_u64_rejected_before_training(
         self, seed, toy_cube_path, tmp_path, capsys, monkeypatch
@@ -430,16 +453,14 @@ class TestRenderMap:
         assert code == 1
         assert "missing entries" in capsys.readouterr().err
 
-    def test_non_positive_batch_size_rejected(
-        self, pipeline, toy_cube_path, tmp_path, capsys
-    ):
+    def test_batch_size_flag_removed(self, pipeline, toy_cube_path, tmp_path, capsys):
         ckpt = str(pipeline["run_dir"] / "checkpoint.cckp")
         out = tmp_path / "m.ppm"
         code = main(
-            ["render-map", ckpt, toy_cube_path, "-o", str(out), "--batch-size", "-1"]
+            ["render-map", ckpt, toy_cube_path, "-o", str(out), "--batch-size", "64"]
         )
         assert code == 1
-        assert "batch_size" in capsys.readouterr().err
+        assert "--batch-size" in capsys.readouterr().err
         assert not out.exists()
 
     def test_labeled_only_masks_unlabeled(self, pipeline, toy_cube_path):

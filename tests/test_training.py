@@ -357,6 +357,32 @@ class TestTrain:
         assert record.epoch_losses[-1] < record.epoch_losses[0] / 100.0
 
 
+class TestNonFiniteCube:
+    """A cube value that is not finite reaches the model only through a
+    library-built ``HsiCube`` (the loaders and the whitening refuse one); a
+    failed forward pass then names the cube, not the model, as the cause."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        cube = make_synthetic_cube(24, 24, 26, 3, seed=0)
+        values = cube.values.copy()
+        values[5, 7, 3] = np.nan
+        cube = HsiCube(values, cube.labels)
+        return cube, stratified_split(cube, (0.2, 0.1), seed=0)
+
+    def test_train_names_the_cube(self, scene):
+        cube, split = scene
+        config = TrainConfig(epochs=1, batch_size=64, seed=0)
+        with pytest.raises(ValueError, match="cube holds a non-finite value"):
+            train(cube, split, config)
+
+    def test_evaluate_names_the_cube(self, scene):
+        cube, split = scene
+        params = init_params(Architecture(channels=26, num_classes=3), 0)
+        with pytest.raises(ValueError, match="non-finite value in the patch of pixel"):
+            evaluate(params, cube, split.subset("test")[0])
+
+
 class TestTrainInHalves:
     """Training on the miniature setup with the prediction budget shrunk to
     8 samples, so every 16-sample batch runs as two pieces."""
