@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    CubeFormatError,
     HsiCube,
     apply_whitening,
     atomic_writes,
@@ -162,19 +162,22 @@ def seed_int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _parse_value(text: str, target_type: type):
-    if target_type is bool:
-        word = text.strip().lower()
-        if word in _TRUE_WORDS:
-            return True
-        if word in _FALSE_WORDS:
-            return False
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word not in _TRUE_WORDS | _FALSE_WORDS:
         raise ValueError(f"expected a boolean, got {text!r}")
-    if target_type is int:
-        return int(text)
-    if target_type is float:
-        return finite_float(text)
-    return text
+    return word in _TRUE_WORDS
+
+
+# RunConfig annotation -> (parser, writer) of a setting's config text.  The
+# writer formats the declared type, so numpy scalars round-trip too; an int
+# setting holding a fraction is refused rather than truncated.
+_CODECS = {
+    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+    "int": (int, lambda value: str(operator.index(value))),
+    "float": (finite_float, lambda value: repr(float(value))),
+    "str": (str, str),
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -183,8 +186,7 @@ def parse_config(text: str) -> RunConfig:
     Unknown keys, repeated keys, and unparsable values are errors; omitted
     keys keep their defaults.
     """
-    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    concrete = {"str": str, "int": int, "float": float, "bool": bool}
+    parsers = {f.name: _CODECS[f.type][0] for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -194,16 +196,12 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in types:
+        if key not in parsers:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        target = types[key]
-        if isinstance(target, str):
-            target = concrete[target]
         try:
-            values[key] = _parse_value(value, target)
+            values[key] = parsers[key](value.strip())
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from exc
     return RunConfig(**values)
@@ -212,18 +210,11 @@ def parse_config(text: str) -> RunConfig:
 def serialize_config(config: RunConfig, omit: tuple[str, ...] = ()) -> str:
     """Render a RunConfig as ``key = value`` lines, except the keys in
     ``omit``; parse_config inverts this."""
-    lines = []
-    for f in dataclasses.fields(RunConfig):
-        if f.name in omit:
-            continue
-        value = getattr(config, f.name)
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
+    lines = [
+        f"{f.name} = {_CODECS[f.type][1](getattr(config, f.name))}"
+        for f in dataclasses.fields(RunConfig)
+        if f.name not in omit
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -544,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TrainingDiverged, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CubeFormatError, CheckpointFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse -h

@@ -539,8 +539,8 @@ def _class_backward(
 # Bytes of float64 predictions above which a call is split in two, the second
 # piece on the worker thread; an inference block is two budgets of samples.
 # It is not a cache size: a piece can hold more (a batch of 64 at 200/16 runs
-# two 11 MiB pieces).  Nor is it the fastest block: inference at 200/16 read
-# 1.8-1.9k px/s in blocks of 8, 2.3-2.7k in 16 (the rule's) and 2.6-3.0k in 32.
+# two 11 MiB pieces).  Nor is it the fastest block: on one BLAS thread, 200/16
+# inference read 2.7-3.5k px/s in blocks of 16 and 3.0-3.8k in 32 or 64.
 _PREDICTION_BUDGET = 4 * 2**20
 # Batches are cut at a multiple of this many samples.  OpenBLAS may round the
 # output columns of a partial tile at the end of a call differently; pieces

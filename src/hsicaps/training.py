@@ -236,7 +236,7 @@ def train(
     the full history.
 
     Raises:
-        TrainingDiverged: if the loss, a gradient, or an update goes
+        TrainingDiverged: if an activation, a gradient, or an update goes
             non-finite.
         ValueError: instead, if a batch's patches hold a cube value that is
             not finite.
@@ -273,8 +273,6 @@ def train(
                 loss, grad = margin_loss_batch(
                     activations, train_labels[chosen], config.margin
                 )
-                if not np.isfinite(loss):
-                    raise FloatingPointError("non-finite loss")
                 grads = backward_batch(params, cache, grad)
                 adam_step(
                     params,

@@ -21,6 +21,7 @@ import hsicaps.training
 from hsicaps.cli import (
     DEFAULT_PALETTE,
     RunConfig,
+    _CODECS,
     _prepared_cube,
     classification_map,
     load_palette,
@@ -31,6 +32,7 @@ from hsicaps.cli import (
 )
 from hsicaps.data import HsiCube, load_cube, save_cube
 from hsicaps.layers import PARAM_FIELDS, load_checkpoint, read_checkpoint, save_checkpoint
+from hsicaps.training import TrainingDiverged
 
 from conftest import NON_FINITE_FLOAT32
 
@@ -45,6 +47,30 @@ class TestConfigFile:
             margin_weight=0.25,
         )
         assert parse_config(serialize_config(config)) == config
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"learning_rate": 0.02, "epochs": 3, "seed": 2**64 - 1, "whiten": False},
+            {"learning_rate": np.float64(0.01)},
+            {"whiten_epsilon": np.float32(1e-3)},
+            {"epochs": np.int64(3)},
+            {"seed": np.uint64(2**64 - 1)},
+            {"whiten": np.bool_(False)},
+        ],
+        ids=["python", "float64", "float32", "int64", "uint64-seed", "bool_"],
+    )
+    def test_scalars_round_trip(self, values):
+        config = RunConfig(**values)
+        assert parse_config(serialize_config(config)) == config
+
+    def test_fractional_int_setting_not_written(self):
+        with pytest.raises(TypeError):
+            serialize_config(RunConfig(epochs=2.5))
+
+    def test_every_field_has_a_codec(self):
+        fields = dataclasses.fields(RunConfig)
+        assert [(f.name, f.type) for f in fields if f.type not in _CODECS] == []
 
     def test_empty_text_gives_defaults(self):
         assert parse_config("") == RunConfig()
@@ -140,6 +166,18 @@ class TestBasicCommands:
         out = capsys.readouterr().out
         assert "24 × 48 × 26, 3 classes" in out
         assert "class 1:" in out
+
+    def test_info_and_split_on_a_partly_labeled_cube(self, tmp_path, capsys):
+        labels = np.zeros((4, 10), dtype=np.int32)
+        labels[0] = 1
+        labels[1] = 3  # class 2 has no pixels
+        path = str(tmp_path / "partial.hsic")
+        save_cube(HsiCube(np.random.default_rng(0).normal(size=(4, 10, 2)), labels), path)
+        assert main(["info", path]) == 0
+        assert "unlabeled: 20\n" in capsys.readouterr().out
+        with pytest.warns(UserWarning, match="class 2"):
+            assert main(["split", path]) == 0
+        assert "warning: class 2 has no labeled pixels" in capsys.readouterr().err
 
     def test_param_count(self, capsys):
         assert main(["param-count", "--channels", "220", "--classes", "16"]) == 0
@@ -310,6 +348,21 @@ class TestTrainCommand:
         config_path.write_text(serialize_config(config))
         assert main(["train", str(config_path)]) == 0
         assert alive_at_train == [False]
+
+    def test_divergence_exits_2_without_artifacts(
+        self, toy_cube_path, tmp_path, capsys, monkeypatch
+    ):
+        def diverging_train(*args):
+            raise TrainingDiverged(1, 0)
+
+        monkeypatch.setattr(hsicaps.cli, "train", diverging_train)
+        out = tmp_path / "out"
+        config = RunConfig(cube=toy_cube_path, output_dir=str(out), epochs=1)
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(serialize_config(config))
+        assert main(["train", str(config_path)]) == 2
+        assert "numerical failure: training diverged" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("seed", [2**64, -1])
     def test_seed_outside_u64_rejected_before_training(
@@ -518,6 +571,18 @@ class TestSettingsFromCheckpoint:
 
     def test_eval_reproduces_training_report(self, custom_run, toy_cube_path, capsys):
         _, run_dir = custom_run
+        capsys.readouterr()
+        assert main(["eval", str(run_dir / "checkpoint.cckp"), toy_cube_path]) == 0
+        assert capsys.readouterr().out == (run_dir / "metrics.txt").read_text()
+
+    def test_eval_reproduces_unwhitened_run(self, toy_cube_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hsicaps.cli, "fit_whitening", lambda *args: pytest.fail("whitened"))
+        run_dir = tmp_path / "run"
+        config = RunConfig(
+            cube=toy_cube_path, output_dir=str(run_dir), epochs=1, batch_size=32, whiten=False
+        )
+        (tmp_path / "run.cfg").write_text(serialize_config(config))
+        assert main(["train", str(tmp_path / "run.cfg")]) == 0
         capsys.readouterr()
         assert main(["eval", str(run_dir / "checkpoint.cckp"), toy_cube_path]) == 0
         assert capsys.readouterr().out == (run_dir / "metrics.txt").read_text()

@@ -144,6 +144,13 @@ class TestCubeFile:
                 save_cube(cube, str(tmp_path / "c.hsic"))
         assert not list(tmp_path.iterdir())
 
+    def test_label_id_beyond_uint16_not_written(self, tmp_path):
+        labels = np.array([[0, 2**16]], dtype=np.int32)
+        cube = HsiCube(np.zeros((1, 2, 1)), labels)
+        with pytest.raises(ValueError, match="uint16"):
+            save_cube(cube, str(tmp_path / "c.hsic"))
+        assert not list(tmp_path.iterdir())
+
     def test_bad_version_and_dimensions(self, tmp_path):
         path = tmp_path / "c.hsic"
         path.write_bytes(b"HSIC" + struct.pack("<BIIIB", 9, 1, 1, 1, 0) + bytes(4))
@@ -499,6 +506,14 @@ class TestStratifiedSplit:
         assert split.skipped == [2]
         assert any("class 2" in str(w.message) for w in caught)
         assert sorted(split.classes) == [1, 3]
+
+    def test_unlabeled_cube_gives_empty_subsets(self):
+        cube = HsiCube(np.zeros((3, 4, 1)), np.zeros((3, 4)))
+        split = stratified_split(cube, (0.2, 0.1), seed=0)
+        assert split.classes == {} and split.skipped == []
+        for name in ("train", "val", "test"):
+            coords, labels = split.subset(name)
+            assert coords.shape == (0, 2) and labels.shape == (0,)
 
     def test_fraction_validation(self):
         cube = self.labeled_cube({1: 10})

@@ -563,6 +563,20 @@ class TestModelEngine:
         with pytest.raises(ValueError, match=re.escape(f"(5, 3, 4), got {shape}")):
             backward_batch(params, cache, np.ones(shape))
 
+    def test_non_finite_gradient_names_its_family(self, monkeypatch):
+        params = miniature_params()
+        _, cache = forward_batch(params, self.random_patches(2), keep_cache=True)
+        body = hsicaps.layers._backward_body
+
+        def nan_window_tensors(*args):
+            grads = body(*args)
+            grads["window_tensors"].flat[0] = np.nan
+            return grads
+
+        monkeypatch.setattr(hsicaps.layers, "_backward_body", nan_window_tensors)
+        with pytest.raises(FloatingPointError, match="non-finite gradient for window_tensors"):
+            backward_batch(params, cache, np.ones((2, 3, 4)))
+
     def test_dead_feature_map_gets_no_gradient(self):
         params = miniature_params(1)
         params.primary_bias[5] = -1e3  # relu output of map 5 is always zero

@@ -208,6 +208,17 @@ class TestPredictEvaluate:
         with pytest.raises(ValueError):
             evaluate(params, unlabeled, np.array([[0, 0]]))
 
+    def test_failure_on_finite_patches_stays_numerical(self, toy_cube, monkeypatch):
+        params = miniature_params()
+        cube = HsiCube(toy_cube.values[:, :, :24], toy_cube.labels)
+
+        def failing_forward(*args):
+            raise FloatingPointError("non-finite activations in forward pass")
+
+        monkeypatch.setattr(hsicaps.training, "forward_batch", failing_forward)
+        with pytest.raises(FloatingPointError, match="non-finite activations"):
+            predict_coords(params, cube, np.array([[0, 0], [1, 1]]))
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_predict_rejects_non_positive_batch_size(self, toy_cube, batch_size):
         params = miniature_params()
@@ -328,6 +339,12 @@ class TestTrain:
         )
         with pytest.raises(ValueError):
             train(toy_cube, split, TOY_CONFIG)
+
+    def test_unlabeled_cube_split_rejected(self, toy_cube):
+        unlabeled = HsiCube(toy_cube.values, np.zeros_like(toy_cube.labels))
+        split = stratified_split(unlabeled, (0.2, 0.1), seed=0)
+        with pytest.raises(ValueError, match="non-empty train and val"):
+            train(unlabeled, split, TOY_CONFIG)
 
     def test_memorizes_random_labels(self):
         # pure-noise cube with arbitrary labels: the model has enough
