@@ -46,7 +46,7 @@ from .layers import (
     read_checkpoint,
 )
 from .metrics import MarginConfig, format_metrics_kv, format_metrics_table
-from .numerics import check_seed
+from .numerics import check_int, check_seed
 from .training import (
     TrainConfig,
     TrainingDiverged,
@@ -229,8 +229,7 @@ def load_palette(path: str) -> dict[int, tuple[int, int, int]]:
         if len(parts) != 4:
             raise ValueError(f"palette line {lineno}: expected 'id r g b', got {raw!r}")
         cid, r, g, b = (int(p) for p in parts)
-        if cid < 1:
-            raise ValueError(f"palette line {lineno}: class id must be >= 1")
+        check_int(cid, f"palette line {lineno}: class id")
         if not all(0 <= v <= 255 for v in (r, g, b)):
             raise ValueError(f"palette line {lineno}: color values must be in [0, 255]")
         palette[cid] = (r, g, b)
@@ -341,8 +340,6 @@ def cmd_split(args: argparse.Namespace) -> int:
         totals[1] += n_val
         totals[2] += n_test
     print(f"{'total':>5}  {totals[0]:>7}  {totals[1]:>7}  {totals[2]:>7}")
-    for cid in split.skipped:
-        print(f"warning: class {cid} has no labeled pixels", file=sys.stderr)
     if args.output:
         lines = ["subset\tclass\trow\tcol"]
         for subset in ("train", "val", "test"):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import check_seed, run_pieces
+from .numerics import check_int, check_seed, run_pieces
 
 __all__ = [
     "ClassSplit",
@@ -336,13 +336,18 @@ def fit_whitening(cube: HsiCube, epsilon: float = 1e-5) -> WhiteningTransform:
     return WhiteningTransform(mean, basis, 1.0 / np.sqrt(eigvals + epsilon))
 
 
-def apply_whitening(cube: HsiCube, transform: WhiteningTransform) -> HsiCube:
-    """Whiten every pixel spectrum; labels are carried over unchanged."""
+def _fitted_pixels(cube: HsiCube, transform: WhiteningTransform) -> np.ndarray:
+    """The cube's (pixels, channels) view, if ``transform`` fits its channels."""
     if transform.channels != cube.channels:
         raise ValueError(
             f"transform fitted for {transform.channels} channels, cube has {cube.channels}"
         )
-    pixels = cube.values.reshape(-1, cube.channels)
+    return cube.values.reshape(-1, cube.channels)
+
+
+def apply_whitening(cube: HsiCube, transform: WhiteningTransform) -> HsiCube:
+    """Whiten every pixel spectrum; labels are carried over unchanged."""
+    pixels = _fitted_pixels(cube, transform)
 
     def whiten(chunk: np.ndarray, out: np.ndarray) -> None:
         np.matmul(chunk - transform.mean, transform.basis, out=out)
@@ -354,11 +359,7 @@ def apply_whitening(cube: HsiCube, transform: WhiteningTransform) -> HsiCube:
 
 def invert_whitening(cube: HsiCube, transform: WhiteningTransform) -> HsiCube:
     """Undo :func:`apply_whitening` (exact up to rounding)."""
-    if transform.channels != cube.channels:
-        raise ValueError(
-            f"transform fitted for {transform.channels} channels, cube has {cube.channels}"
-        )
-    pixels = cube.values.reshape(-1, cube.channels)
+    pixels = _fitted_pixels(cube, transform)
     restored = (pixels / transform.inv_sqrt_eigs) @ transform.basis.T + transform.mean
     return HsiCube(restored.reshape(cube.values.shape), cube.labels.copy())
 
@@ -369,8 +370,7 @@ def reflect_index(index: np.ndarray | int, size: int) -> np.ndarray:
 
     Handles any number of bounces; a size-1 axis maps everything to 0.
     """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    size = check_int(size, "size")
     index = np.asarray(index, dtype=np.int64)
     if size == 1:
         return np.zeros_like(index)
@@ -387,8 +387,9 @@ def extract_patches(cube: HsiCube, coords: np.ndarray, size: int) -> np.ndarray:
     ``size`` must be odd so each window has a center; the centers themselves
     must be inside the cube.
     """
-    if size % 2 != 1 or size < 1:
-        raise ValueError(f"patch size must be odd and positive, got {size}")
+    size = check_int(size, "patch size")
+    if size % 2 != 1:
+        raise ValueError(f"patch size must be odd, got {size}")
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValueError(f"coords must be (m, 2), got shape {coords.shape}")
@@ -506,8 +507,7 @@ def make_synthetic_cube(
     separable by spectrum alone at moderate noise while patches near stripe
     boundaries still mix classes.
     """
-    if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
+    num_classes = check_int(num_classes, "num_classes", low=2)
     rng = np.random.default_rng(seed)
     grid = np.arange(channels, dtype=np.float64)
     centers = (np.arange(num_classes) + 0.5) * channels / num_classes

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import float32_payload, write_atomic
-from .numerics import check_seed, conv1d_output_length, relu, relu_grad, run_pieces
+from .numerics import check_int, check_seed, conv1d_output_length, relu, relu_grad, run_pieces
 
 __all__ = [
     "Architecture",
@@ -87,13 +87,10 @@ class Architecture:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{f.name} must be a positive integer, got {value!r}")
+            low = 2 if f.name == "num_classes" else 1
+            object.__setattr__(self, f.name, check_int(getattr(self, f.name), f.name, low))
         if self.patch_size % 2 != 1:
             raise ValueError(f"patch_size must be odd, got {self.patch_size}")
-        if self.num_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.num_classes}")
         # raises if either spectral kernel overruns its input
         self.window_positions
 
@@ -433,8 +430,7 @@ def _class_forward(
     the logits, softmaxes them over classes and forms the weighted sums,
     block by block.
     """
-    if iterations < 1:
-        raise ValueError(f"need at least one routing iteration, got {iterations}")
+    iterations = check_int(iterations, "routing_iters")
     arrays, positions, classes, out_dim, dim = matrices.shape
     batch = len(children)
     columns = np.ascontiguousarray(_child_major(children).transpose(0, 2, 1))

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import check_int
+
 __all__ = [
     "ConfusionMatrix",
     "MarginConfig",
@@ -63,39 +65,46 @@ def margin_loss_batch(
 
     where T is the one-hot truth.  The returned gradient is that of the mean,
     so it already carries the 1/B; at an exactly zero-length capsule it is
-    taken as zero.
+    taken as zero.  A non-finite loss or gradient raises FloatingPointError.
     """
     activations = np.asarray(activations, dtype=np.float64)
-    true_classes = np.asarray(true_classes)
     if activations.ndim != 3:
         raise ValueError(f"activations must be (B, classes, dim), got {activations.shape}")
     batch, num_classes, _ = activations.shape
+    true_classes = _class_ids(true_classes, num_classes)
     if true_classes.shape != (batch,):
         raise ValueError(f"true_classes must be ({batch},), got {true_classes.shape}")
-    if ((true_classes < 1) | (true_classes > num_classes)).any():
-        raise ValueError(f"class ids must be in [1, {num_classes}]")
 
     lengths = np.linalg.norm(activations, axis=-1)
     onehot = np.zeros((batch, num_classes))
     onehot[np.arange(batch), true_classes - 1] = 1.0
 
-    present_gap = np.maximum(0.0, config.positive_margin - lengths)
-    absent_gap = np.maximum(0.0, lengths - config.negative_margin)
-    per_sample = (
-        onehot * present_gap**2
-        + config.negative_weight * (1.0 - onehot) * absent_gap**2
-    ).sum(axis=1)
+    # the check below reports what an overflow (a huge negative_weight) would warn about
+    with np.errstate(over="ignore", invalid="ignore"):
+        present_gap = np.maximum(0.0, config.positive_margin - lengths)
+        absent_gap = np.maximum(0.0, lengths - config.negative_margin)
+        loss = (
+            onehot * present_gap**2
+            + config.negative_weight * (1.0 - onehot) * absent_gap**2
+        ).sum(axis=1).mean()
 
-    d_length = (
-        -2.0 * onehot * present_gap
-        + 2.0 * config.negative_weight * (1.0 - onehot) * absent_gap
-    )
-    inv_length = np.divide(
-        1.0, lengths, out=np.zeros_like(lengths), where=lengths > 0
-    )
-    grad = (d_length * inv_length)[..., None] * activations
+        d_length = (
+            -2.0 * onehot * present_gap
+            + 2.0 * config.negative_weight * (1.0 - onehot) * absent_gap
+        )
+        inv_length = np.divide(1.0, lengths, out=np.zeros_like(lengths), where=lengths > 0)
+        grad = (d_length * inv_length)[..., None] * activations / batch
+    if not (np.isfinite(loss) and np.isfinite(grad).all()):
+        raise FloatingPointError("margin loss or its gradient is not finite")
+    return float(loss), grad
 
-    return float(per_sample.mean()), grad / batch
+
+def _class_ids(ids, num_classes: int) -> np.ndarray:
+    """``ids`` as an array of integers in [1, num_classes], else ``ValueError``."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu" or ((ids < 1) | (ids > num_classes)).any():
+        raise ValueError(f"class ids must be integers in [1, {num_classes}]")
+    return ids
 
 
 @dataclass
@@ -120,21 +129,16 @@ class ConfusionMatrix:
     both 1-based."""
 
     def __init__(self, num_classes: int):
-        if num_classes < 1:
-            raise ValueError(f"need at least 1 class, got {num_classes}")
-        self.num_classes = num_classes
-        self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
+        self.num_classes = check_int(num_classes, "num_classes")
+        self.counts = np.zeros((self.num_classes, self.num_classes), dtype=np.int64)
 
     def accumulate_many(
         self, true_classes: np.ndarray, predicted_classes: np.ndarray
     ) -> None:
-        true_classes = np.asarray(true_classes, dtype=np.int64)
-        predicted_classes = np.asarray(predicted_classes, dtype=np.int64)
+        true_classes = _class_ids(true_classes, self.num_classes)
+        predicted_classes = _class_ids(predicted_classes, self.num_classes)
         if true_classes.shape != predicted_classes.shape:
             raise ValueError("true and predicted arrays must have the same shape")
-        for arr in (true_classes, predicted_classes):
-            if len(arr) and not ((arr >= 1) & (arr <= self.num_classes)).all():
-                raise ValueError(f"class ids must be in [1, {self.num_classes}]")
         np.add.at(self.counts, (true_classes - 1, predicted_classes - 1), 1)
 
     @property

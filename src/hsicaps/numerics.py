@@ -1,10 +1,10 @@
 """Dense numerical primitives shared by every layer.
 
-The ReLU pair, the seed rule, the output-length law of valid-padding
-convolutions (nothing pads implicitly: ``floor((length - kernel) / stride)
-+ 1``), a central-difference checker for the hand-written backward passes, and
-``run_pieces``, which runs model pieces and preprocessing row chunks on the
-calling thread and the package's one worker thread.
+The ReLU pair, the integer and seed rules, the output-length law of
+valid-padding convolutions (nothing pads implicitly: ``floor((length - kernel)
+/ stride) + 1``), a central-difference checker for the hand-written backward
+passes, and ``run_pieces``, which runs model pieces and preprocessing row
+chunks on the calling thread and the package's one worker thread.
 """
 
 from __future__ import annotations
@@ -45,27 +45,32 @@ def relu_grad(pre_activation: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return np.where(pre_activation > 0, upstream, 0.0)
 
 
-def check_seed(value, name: str = "seed") -> int:
-    """``value`` as an int if it is an integer in [0, 2**64), numpy integers
-    included, else ``ValueError``: the seeds and counters numpy's generators
-    and the checkpoint trailer take.  ``True`` is refused."""
+def check_int(value, name: str, low: float = 1) -> int:
+    """``value`` as an int if it is a Python or numpy integer of at least
+    ``low``, else ``ValueError`` naming ``name``; ``True`` is refused.  The
+    one integer rule of the package, shared by its modules but not exported."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= int(value) < 2**64:
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def check_seed(value, name: str = "seed") -> int:
+    """``value`` as an int if it is an integer in [0, 2**64), else
+    ``ValueError``: what numpy's generators and the checkpoint trailer take."""
+    if not 0 <= check_int(value, name, low=float("-inf")) < 2**64:
         raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
     return int(value)
 
 
 def conv1d_output_length(length: int, kernel_size: int, stride: int) -> int:
     """Number of valid kernel placements: ``floor((length - kernel) / stride) + 1``."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if kernel_size < 1:
-        raise ValueError(f"kernel size must be >= 1, got {kernel_size}")
+    length = check_int(length, "signal length")
+    kernel_size = check_int(kernel_size, "kernel size")
+    stride = check_int(stride, "stride")
     if length < kernel_size:
-        raise ValueError(
-            f"signal length {length} is shorter than kernel size {kernel_size}"
-        )
+        raise ValueError(f"signal length {length} is shorter than kernel size {kernel_size}")
     return (length - kernel_size) // stride + 1
 
 

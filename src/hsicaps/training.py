@@ -26,7 +26,7 @@ from .layers import (
     predict_classes,
 )
 from .metrics import ConfusionMatrix, MarginConfig, margin_loss_batch
-from .numerics import GradCheckReport, check_seed, finite_difference_check
+from .numerics import GradCheckReport, check_int, check_seed, finite_difference_check
 
 __all__ = [
     "AdamState",
@@ -56,12 +56,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.routing_iters < 1:
-            raise ValueError(f"routing_iters must be >= 1, got {self.routing_iters}")
+        self.epochs = check_int(self.epochs, "epochs")
+        self.batch_size = check_int(self.batch_size, "batch_size")
+        self.routing_iters = check_int(self.routing_iters, "routing_iters")
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
@@ -179,8 +176,7 @@ def predict_coords(
     ids did not differ in any check.  A cube value that is not finite in a
     patch raises ``ValueError``.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = check_int(batch_size, "batch_size")
     if params.arch.channels != cube.channels:
         raise ValueError(
             f"model expects {params.arch.channels} channels, cube has {cube.channels}"
@@ -236,8 +232,8 @@ def train(
     the full history.
 
     Raises:
-        TrainingDiverged: if an activation, a gradient, or an update goes
-            non-finite.
+        TrainingDiverged: if an activation, the loss, a gradient, or an
+            update goes non-finite.
         ValueError: instead, if a batch's patches hold a cube value that is
             not finite.
     """

@@ -51,6 +51,8 @@ class TestHsiCube:
             HsiCube(np.zeros((3, 3, 2)), np.zeros((4, 3)))
         with pytest.raises(ValueError):
             HsiCube(np.zeros((3, 3, 2)), np.full((3, 3), -1))
+        with pytest.raises(ValueError, match="dimensions must be >= 1"):
+            HsiCube(np.zeros((3, 0, 2)), np.zeros((3, 0)))
 
     def test_histogram_and_coords(self):
         labels = np.array([[0, 1], [2, 1]])
@@ -209,8 +211,10 @@ class TestWhitening:
             fit_whitening(cube, epsilon=0.0)
         transform = fit_whitening(cube)
         other = HsiCube(np.zeros((3, 3, 5)), np.zeros((3, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fitted for 12 channels, cube has 5"):
             apply_whitening(other, transform)
+        with pytest.raises(ValueError, match="fitted for 12 channels, cube has 5"):
+            invert_whitening(other, transform)
 
     def test_non_finite_covariance_raises(self):
         cube = self.correlated_cube()
@@ -407,6 +411,14 @@ class TestReflectIndex:
     def test_matches_bounce_oracle(self, index, size):
         assert int(reflect_index(index, size)) == bounce_oracle(index, size)
 
+    @pytest.mark.parametrize(
+        "size, message",
+        [(0, "size must be >= 1, got 0"), (2.5, "size must be an integer, got 2.5")],
+    )
+    def test_malformed_size_rejected(self, size, message):
+        with pytest.raises(ValueError, match=message):
+            reflect_index(np.array([0, 1]), size)
+
 
 class TestPatches:
     def test_interior_patch_is_a_slice(self):
@@ -446,6 +458,10 @@ class TestPatches:
             extract_patches(cube, np.array([[0, 99]]), 3)
         with pytest.raises(ValueError, match="coords"):
             extract_patches(cube, np.array([0, 0]), 3)
+        with pytest.raises(ValueError, match="patch size must be an integer, got 3.0"):
+            extract_patches(cube, np.array([[0, 0]]), 3.0)
+        with pytest.raises(ValueError, match="patch size must be >= 1, got -1"):
+            extract_patches(cube, np.array([[0, 0]]), -1)
 
 
 class TestStratifiedSplit:
@@ -569,5 +585,7 @@ class TestSyntheticCube:
         assert nearest_centroid_accuracy(cube, split) >= 0.99
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="num_classes must be >= 2, got 1"):
             make_synthetic_cube(8, 8, 8, 1)
+        with pytest.raises(ValueError, match="num_classes must be an integer"):
+            make_synthetic_cube(8, 8, 8, 3.0)

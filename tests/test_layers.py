@@ -130,6 +130,15 @@ class TestArchitecture:
         with pytest.raises(ValueError):
             # 6 primary positions cannot host a size-9 window
             Architecture(channels=19, num_classes=4)
+        with pytest.raises(ValueError, match="capsule_dim must be an integer, got True"):
+            Architecture(channels=64, num_classes=4, capsule_dim=True)
+        with pytest.raises(ValueError, match="num_classes must be >= 2, got 1"):
+            Architecture(channels=64, num_classes=1)
+
+    def test_numpy_integers_kept_as_int(self):
+        arch = Architecture(channels=np.int64(200), num_classes=np.int64(16))
+        assert arch == Architecture(channels=200, num_classes=16)
+        assert type(arch.channels) is int and type(arch.num_classes) is int
 
     def test_frozen(self):
         arch = Architecture(channels=64, num_classes=4)
@@ -470,10 +479,12 @@ class TestDynamicRouting:
 
     def test_validation(self):
         children, matrices = random_routing_setup(0)
-        with pytest.raises(ValueError, match="at least one routing iteration"):
+        with pytest.raises(ValueError, match="routing_iters must be >= 1"):
             _class_forward(children[None], matrices, 0, False)
-        with pytest.raises(ValueError, match="at least one routing iteration"):
+        with pytest.raises(ValueError, match="routing_iters must be >= 1"):
             forward_batch(miniature_params(), TestModelEngine.random_patches(2), 0)
+        with pytest.raises(ValueError, match="routing_iters must be an integer"):
+            forward_batch(miniature_params(), TestModelEngine.random_patches(2), True)
 
 
 class TestModelEngine:

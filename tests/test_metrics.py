@@ -1,5 +1,7 @@
 """Margin loss and confusion-matrix statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -107,6 +109,22 @@ class TestMarginLoss:
         with pytest.raises(ValueError, match="true_classes"):
             margin_loss_batch(np.zeros((2, 2, 3)), np.array([1, 1, 1]))
 
+    @pytest.mark.parametrize("ids", [[1.5, 2.0], [True, True]], ids=repr)
+    def test_non_integer_class_ids_rejected(self, ids):
+        with pytest.raises(ValueError, match="class ids must be integers"):
+            margin_loss_batch(np.zeros((2, 2, 3)), ids)
+
+    def test_overflowing_loss_raises_without_warning(self):
+        # 15 absent classes at length 0.95 sum past the float64 range, while
+        # each gradient entry stays finite
+        activations = np.zeros((1, 16, 16))
+        activations[:, :, 0] = 0.95
+        config = MarginConfig(negative_weight=5e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="margin loss"):
+                margin_loss_batch(activations, [1], config)
+
 
 class TestConfusionMatrix:
     def from_counts(self, counts):
@@ -150,8 +168,12 @@ class TestConfusionMatrix:
             cm.accumulate_many(np.array([1, 3]), np.array([1, 1]))
         with pytest.raises(ValueError):
             cm.accumulate_many(np.array([1]), np.array([1, 1]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="class ids must be integers"):
+            cm.accumulate_many(np.array([1.9, 2.5]), np.array([1, 2]))
+        with pytest.raises(ValueError, match="num_classes must be >= 1"):
             ConfusionMatrix(0)
+        with pytest.raises(ValueError, match="num_classes must be an integer"):
+            ConfusionMatrix(2.0)
 
     def test_two_class_example(self):
         result = self.from_counts([[40, 10], [20, 30]]).metrics()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hsicaps.layers import _conv_forward
 from hsicaps.metrics import margin_loss_batch
 from hsicaps.numerics import (
+    check_int,
     check_seed,
     conv1d_output_length,
     finite_difference_check,
@@ -80,6 +81,19 @@ class TestConv1dValid:
         out = conv1d_output_length(length, kernel, stride)
         placements = len(range(0, length - kernel + 1, stride))
         assert out == placements >= 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((10, 3, 0), "stride must be >= 1, got 0"),
+            ((10, 0, 1), "kernel size must be >= 1, got 0"),
+            ((10.5, 3, 1), "signal length must be an integer, got 10.5"),
+            ((10, 3, True), "stride must be an integer, got True"),
+        ],
+    )
+    def test_malformed_arguments_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            conv1d_output_length(*args)
 
     def test_identity_kernel_reproduces_signal(self):
         rng = np.random.default_rng(0)
@@ -201,6 +215,27 @@ class TestFiniteDifferenceCheck:
     def test_non_finite_epsilon_rejected(self, epsilon):
         with pytest.raises(ValueError, match=f"epsilon .* got {epsilon}"):
             finite_difference_check(lambda p: float(p.sum()), np.ones(2), np.ones(2), epsilon)
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize(
+        "value", [2.5, 3.0, True, np.float64(3.0), np.bool_(True), "3", None], ids=repr
+    )
+    def test_non_integer_refused(self, value):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            check_int(value, "count")
+
+    @pytest.mark.parametrize("value, low", [(0, 1), (-1, 1), (1, 2), (np.int64(1), 2)])
+    def test_below_low_refused(self, value, low):
+        with pytest.raises(ValueError, match=f"count must be >= {low}, got {value}"):
+            check_int(value, "count", low)
+
+    @pytest.mark.parametrize(
+        "value", [1, 2**70, np.int64(16), np.uint8(3), np.uint64(2**64 - 1)], ids=repr
+    )
+    def test_integers_accepted_as_int(self, value):
+        count = check_int(value, "count")
+        assert type(count) is int and count == int(value)
 
 
 class TestCheckSeed:

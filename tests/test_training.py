@@ -1,7 +1,9 @@
 """Adam updates, the training loop, evaluation, and gradient checking."""
 
+import dataclasses
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from hsicaps.layers import (
     init_params,
     predict_classes,
 )
+from hsicaps.metrics import MarginConfig
 from hsicaps.training import (
     AdamState,
     TrainConfig,
@@ -86,6 +89,20 @@ class TestTrainConfig:
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("epochs", 2.5), ("batch_size", True), ("routing_iters", np.float64(3.0))],
+        ids=repr,
+    )
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: value})
+
+    def test_numpy_integer_counts_kept_as_int(self):
+        config = TrainConfig(epochs=np.int64(2), batch_size=np.uint16(8), routing_iters=np.int8(2))
+        assert (config.epochs, config.batch_size, config.routing_iters) == (2, 8, 2)
+        assert {type(config.epochs), type(config.batch_size), type(config.routing_iters)} == {int}
 
     def test_numpy_integer_seed_kept_as_int(self):
         config = TrainConfig(seed=np.uint64(7))
@@ -226,6 +243,13 @@ class TestPredictEvaluate:
         with pytest.raises(ValueError, match="batch_size"):
             predict_coords(params, cube, np.array([[0, 0]]), batch_size=batch_size)
 
+    @pytest.mark.parametrize("batch_size", [2.5, True], ids=repr)
+    def test_predict_rejects_non_integer_batch_size(self, toy_cube, batch_size):
+        params = miniature_params()
+        cube = HsiCube(toy_cube.values[:, :, :24], toy_cube.labels)
+        with pytest.raises(ValueError, match="batch_size must be an integer"):
+            predict_coords(params, cube, np.array([[0, 0]]), batch_size=batch_size)
+
 
 class TestBlockedInference:
     @pytest.mark.parametrize(
@@ -329,6 +353,28 @@ class TestTrain:
             train(huge, toy_split, config)
         assert err.value.epoch == 1
         assert err.value.batch_index == 0
+
+    def test_overflowing_loss_diverges(self, monkeypatch):
+        # class matrices at ten times their initial scale lift the absent
+        # classes' capsules over the margin, so under a huge negative weight
+        # the batch's loss sum overflows while its gradient stays finite
+        def scaled_init(arch, rng):
+            params = init_params(arch, rng)
+            params.class_matrices *= 10.0
+            return params
+
+        monkeypatch.setattr(hsicaps.training, "init_params", scaled_init)
+        cube = make_synthetic_cube(64, 32, 24, 16, seed=0)
+        split = stratified_split(cube, (0.2, 0.1), seed=0)
+        arch = dataclasses.replace(MINIATURE_ARCHITECTURE, num_classes=16)
+        margin = MarginConfig(negative_weight=1e306)
+        config = TrainConfig(epochs=1, batch_size=256, margin=margin)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as info:
+                train(cube, split, config, arch)
+        assert (info.value.epoch, info.value.batch_index) == (1, 0)
+        assert "margin loss" in str(info.value.__cause__)
 
     def test_empty_subset_rejected(self, toy_cube):
         coords = np.array([[0, 0], [1, 1]])
