@@ -4,8 +4,9 @@ Covers the binary cube container, PCA whitening fitted on the full pixel
 population, mirror-extended spatial patch extraction, seeded per-class
 stratified splits, and a synthetic labeled cube for tests and demos.  It
 also holds ``atomic_writes``, the temp-file-then-rename writer through which
-every file the package writes goes, and ``float32_payload``, which both
-binary containers store their values through.
+every file the package writes goes, ``float32_payload``, which both binary
+containers store their values through, and ``check_coords``, the one rule
+for pixel coordinates; these three are not exported.
 """
 
 from __future__ import annotations
@@ -22,23 +23,19 @@ import numpy as np
 from .numerics import check_int, check_seed, run_pieces
 
 __all__ = [
-    "ClassSplit",
     "CubeFormatError",
     "HsiCube",
     "SplitAssignment",
     "WhiteningTransform",
     "apply_whitening",
-    "atomic_writes",
     "extract_patches",
     "fit_whitening",
-    "float32_payload",
     "invert_whitening",
     "load_cube",
     "make_synthetic_cube",
     "reflect_index",
     "save_cube",
     "stratified_split",
-    "write_atomic",
 ]
 
 # Bytes of float64 pixel rows per chunk, to stay in L2.  Load, fit and apply at
@@ -371,7 +368,9 @@ def reflect_index(index: np.ndarray | int, size: int) -> np.ndarray:
     Handles any number of bounces; a size-1 axis maps everything to 0.
     """
     size = check_int(size, "size")
-    index = np.asarray(index, dtype=np.int64)
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu":
+        raise ValueError(f"index must hold integers, got {index.dtype}")
     if size == 1:
         return np.zeros_like(index)
     period = 2 * (size - 1)
@@ -379,27 +378,31 @@ def reflect_index(index: np.ndarray | int, size: int) -> np.ndarray:
     return np.minimum(m, period - m)
 
 
+def check_coords(coords, cube: HsiCube) -> np.ndarray:
+    """``coords`` as an int64 (m, 2) array of (row, col) pixels inside
+    ``cube``, else ``ValueError`` naming them."""
+    coords = np.asarray(coords)
+    if coords.dtype.kind not in "iu" or coords.ndim != 2 or coords.shape[1] != 2:
+        raise ValueError(
+            f"coords must be an (m, 2) integer array, got {coords.dtype} {coords.shape}"
+        )
+    if (coords < 0).any() or (coords >= (cube.height, cube.width)).any():
+        raise ValueError(f"coords hold a pixel outside the {cube.height} x {cube.width} cube")
+    return coords.astype(np.int64, copy=False)
+
+
 def extract_patches(cube: HsiCube, coords: np.ndarray, size: int) -> np.ndarray:
     """Cut the ``size`` x ``size`` window centered on each (row, col) of an
     (m, 2) coordinate array, mirroring across the image border where a window
     sticks out; returns (m, size, size, channels) float64.
 
-    ``size`` must be odd so each window has a center; the centers themselves
-    must be inside the cube.
+    ``size`` must be odd so each window has a center; the centers are
+    checked by :func:`check_coords`.
     """
     size = check_int(size, "patch size")
     if size % 2 != 1:
         raise ValueError(f"patch size must be odd, got {size}")
-    coords = np.asarray(coords, dtype=np.int64)
-    if coords.ndim != 2 or coords.shape[1] != 2:
-        raise ValueError(f"coords must be (m, 2), got shape {coords.shape}")
-    if len(coords) and (
-        coords[:, 0].min() < 0
-        or coords[:, 0].max() >= cube.height
-        or coords[:, 1].min() < 0
-        or coords[:, 1].max() >= cube.width
-    ):
-        raise ValueError("patch centers outside cube")
+    coords = check_coords(coords, cube)
     half = size // 2
     offsets = np.arange(-half, half + 1)
     rows = reflect_index(coords[:, 0:1] + offsets, cube.height)
@@ -507,8 +510,13 @@ def make_synthetic_cube(
     separable by spectrum alone at moderate noise while patches near stripe
     boundaries still mix classes.
     """
+    height = check_int(height, "height")
+    width = check_int(width, "width")
+    channels = check_int(channels, "channels")
     num_classes = check_int(num_classes, "num_classes", low=2)
-    rng = np.random.default_rng(seed)
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
+    rng = np.random.default_rng(check_seed(seed))
     grid = np.arange(channels, dtype=np.float64)
     centers = (np.arange(num_classes) + 0.5) * channels / num_classes
     bump_width = channels / (2.5 * num_classes)

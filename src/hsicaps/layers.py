@@ -41,21 +41,12 @@ from .numerics import check_int, check_seed, conv1d_output_length, relu, relu_gr
 __all__ = [
     "Architecture",
     "CheckpointFormatError",
-    "ForwardCache",
-    "MINIATURE_ARCHITECTURE",
     "ModelParams",
     "backward_batch",
-    "capsule_lengths",
-    "encode_checkpoint",
     "forward_batch",
-    "init_params",
     "load_checkpoint",
     "param_count",
-    "predict_classes",
-    "read_checkpoint",
-    "save_checkpoint",
     "squash",
-    "squash_backward",
 ]
 
 
@@ -251,9 +242,9 @@ def init_params(
     arch: Architecture, rng: np.random.Generator | int = 0
 ) -> ModelParams:
     """Draw every weight array uniformly and zero every bias, as
-    ``_PARAM_TABLE`` declares."""
+    ``_PARAM_TABLE`` declares; an integer ``rng`` is a seed."""
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+        rng = np.random.default_rng(check_seed(rng))
     arrays = {}
     for name, shape in ModelParams.expected_shapes(arch).items():
         axis = _PARAM_TABLE[name].fan_in_axis
@@ -282,10 +273,9 @@ def squash_backward(upstream: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Exact vector-Jacobian product of :func:`squash` at ``vectors``.
 
     With a(h) = h / (1 + h^2), the Jacobian is a(h) I + (a'(h)/h) v v^T; the
-    rank-one term vanishes at v = 0 where the gradient is a(0) I = 0.
+    rank-one term vanishes at v = 0 where the gradient is a(0) I = 0.  Both
+    arrays are float64, as the backward pass holds them.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    vectors = np.asarray(vectors, dtype=np.float64)
     norm = np.linalg.norm(vectors, axis=-1, keepdims=True)
     norm_sq = norm * norm
     scale = norm / (1.0 + norm_sq)
@@ -297,14 +287,9 @@ def squash_backward(upstream: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return scale * upstream + scale_deriv * inv_norm * dot * vectors
 
 
-def capsule_lengths(activations: np.ndarray) -> np.ndarray:
-    """Norm of each capsule vector along the last axis."""
-    return np.linalg.norm(activations, axis=-1)
-
-
 def predict_classes(activations: np.ndarray) -> np.ndarray:
     """1-based class ids of the longest class capsules, batched (..., n, d)."""
-    return np.argmax(capsule_lengths(activations), axis=-1) + 1
+    return np.argmax(np.linalg.norm(activations, axis=-1), axis=-1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +608,10 @@ def forward_batch(
     arch = params.arch
     patches = np.ascontiguousarray(patches, dtype=np.float64)
     expected = (arch.patch_size, arch.patch_size, arch.channels)
-    if patches.ndim != 4 or patches.shape[1:] != expected:
+    if patches.ndim != 4 or not len(patches) or patches.shape[1:] != expected:
         raise ValueError(
-            f"patches must be (B, {expected[0]}, {expected[1]}, {expected[2]}), "
-            f"got {patches.shape}"
+            f"patches must be (B, {expected[0]}, {expected[1]}, {expected[2]}) "
+            f"with B >= 1, got {patches.shape}"
         )
     outputs = run_pieces(
         _forward_body,

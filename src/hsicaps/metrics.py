@@ -17,9 +17,7 @@ __all__ = [
     "ConfusionMatrix",
     "MarginConfig",
     "MetricsResult",
-    "format_metrics_kv",
     "format_metrics_table",
-    "margin_loss_batch",
 ]
 
 
@@ -68,8 +66,10 @@ def margin_loss_batch(
     taken as zero.  A non-finite loss or gradient raises FloatingPointError.
     """
     activations = np.asarray(activations, dtype=np.float64)
-    if activations.ndim != 3:
-        raise ValueError(f"activations must be (B, classes, dim), got {activations.shape}")
+    if activations.ndim != 3 or not len(activations):
+        raise ValueError(
+            f"activations must be (B, classes, dim) with B >= 1, got {activations.shape}"
+        )
     batch, num_classes, _ = activations.shape
     true_classes = _class_ids(true_classes, num_classes)
     if true_classes.shape != (batch,):

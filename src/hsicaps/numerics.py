@@ -4,7 +4,8 @@ The ReLU pair, the integer and seed rules, the output-length law of
 valid-padding convolutions (nothing pads implicitly: ``floor((length - kernel)
 / stride) + 1``), a central-difference checker for the hand-written backward
 passes, and ``run_pieces``, which runs model pieces and preprocessing row
-chunks on the calling thread and the package's one worker thread.
+chunks on the calling thread and the package's one worker thread.  The
+package exports none of them: every caller is one of its own modules.
 """
 
 from __future__ import annotations
@@ -16,16 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-__all__ = [
-    "GradCheckReport",
-    "check_seed",
-    "conv1d_output_length",
-    "finite_difference_check",
-    "relu",
-    "relu_grad",
-    "run_pieces",
-]
 
 # Floor for the relative-error denominator so near-zero gradient pairs do not
 # blow the ratio up.
@@ -48,7 +39,7 @@ def relu_grad(pre_activation: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 def check_int(value, name: str, low: float = 1) -> int:
     """``value`` as an int if it is a Python or numpy integer of at least
     ``low``, else ``ValueError`` naming ``name``; ``True`` is refused.  The
-    one integer rule of the package, shared by its modules but not exported."""
+    one integer rule of the package."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
@@ -65,10 +56,8 @@ def check_seed(value, name: str = "seed") -> int:
 
 
 def conv1d_output_length(length: int, kernel_size: int, stride: int) -> int:
-    """Number of valid kernel placements: ``floor((length - kernel) / stride) + 1``."""
-    length = check_int(length, "signal length")
-    kernel_size = check_int(kernel_size, "kernel size")
-    stride = check_int(stride, "stride")
+    """Number of valid kernel placements: ``floor((length - kernel) / stride) + 1``,
+    for positive integers, which ``Architecture``, the one caller, has checked."""
     if length < kernel_size:
         raise ValueError(f"signal length {length} is shorter than kernel size {kernel_size}")
     return (length - kernel_size) // stride + 1

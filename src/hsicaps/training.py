@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import HsiCube, SplitAssignment, extract_patches
+from .data import HsiCube, SplitAssignment, check_coords, extract_patches
 from .layers import (
     Architecture,
     MINIATURE_ARCHITECTURE,
@@ -29,14 +29,11 @@ from .metrics import ConfusionMatrix, MarginConfig, margin_loss_batch
 from .numerics import GradCheckReport, check_int, check_seed, finite_difference_check
 
 __all__ = [
-    "AdamState",
     "TrainConfig",
     "TrainRecord",
     "TrainingDiverged",
-    "adam_step",
     "evaluate",
     "predict_coords",
-    "run_gradient_check",
     "train",
 ]
 
@@ -98,7 +95,9 @@ def adam_step(
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
     theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
 
-    A zero gradient with fresh state leaves the parameters untouched.
+    A zero gradient with fresh state leaves the parameters untouched.  A
+    second moment or an update that is not finite raises FloatingPointError
+    naming its array.
     """
     state.step += 1
     t = state.step
@@ -111,9 +110,11 @@ def adam_step(
         m *= beta1
         m += (1.0 - beta1) * grad
         v *= beta2
-        v += (1.0 - beta2) * grad * grad
+        # a gradient past about 1e154 overflows v and zeroes its update: refused below
+        with np.errstate(over="ignore"):
+            v += (1.0 - beta2) * grad * grad
         update = learning_rate * (m / bias1) / (np.sqrt(v / bias2) + eps)
-        if not np.isfinite(update).all():
+        if not (np.isfinite(update).all() and np.isfinite(v).all()):
             raise FloatingPointError(f"non-finite Adam update for {name}")
         arr -= update
     return params, state
@@ -182,7 +183,7 @@ def predict_coords(
             f"model expects {params.arch.channels} channels, cube has {cube.channels}"
         )
     block = inference_block(params.arch, batch_size)
-    coords = np.asarray(coords, dtype=np.int64)
+    coords = check_coords(coords, cube)
     out = np.zeros(len(coords), dtype=np.int64)
     for start in range(0, len(coords), block):
         chunk = coords[start : start + block]
@@ -207,7 +208,7 @@ def evaluate(
     Predictions come from :func:`predict_coords` with its default cap, so
     the model runs in prediction-budget blocks.
     """
-    coords = np.asarray(coords, dtype=np.int64)
+    coords = check_coords(coords, cube)
     if len(coords) == 0:
         raise ValueError("cannot evaluate on an empty coordinate set")
     truth = cube.labels[coords[:, 0], coords[:, 1]]
@@ -319,7 +320,7 @@ def run_gradient_check(
     """
     if arch is None:
         arch = MINIATURE_ARCHITECTURE
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     params = init_params(arch, rng)
     patches = rng.normal(0.0, 1.0, (2, arch.patch_size, arch.patch_size, arch.channels))
     labels = rng.integers(1, arch.num_classes + 1, 2)

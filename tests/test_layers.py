@@ -27,7 +27,6 @@ from hsicaps.layers import (
     CheckpointFormatError,
     ModelParams,
     backward_batch,
-    capsule_lengths,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -280,9 +279,11 @@ class TestSquash:
 
 class TestCapsuleReadout:
     def test_lengths_and_argmax(self):
-        acts = np.array([[[3.0, 4.0], [0.0, 1.0], [0.5, 0.0]]])
-        np.testing.assert_allclose(capsule_lengths(acts), [[5.0, 1.0, 0.5]])
-        np.testing.assert_array_equal(predict_classes(acts), [1])
+        # the second sample's longest capsule (class 3) has the smallest sum
+        acts = np.array(
+            [[[3.0, 4.0], [0.0, 1.0], [0.5, 0.0]], [[2.0, 2.0], [0.0, 3.0], [-4.0, 0.0]]]
+        )
+        np.testing.assert_array_equal(predict_classes(acts), [1, 3])
         assert predict_classes(acts[0]) == 1
 
 
@@ -391,7 +392,7 @@ class TestConvCaps:
         _, cache = forward_batch(params, patches, keep_cache=True)
         (piece,) = cache.pieces
         assert np.abs(piece.pre_window).max() > 1.0  # squashing has work to do
-        assert (capsule_lengths(piece.window_caps) < 1.0).all()
+        assert (np.linalg.norm(piece.window_caps, axis=-1) < 1.0).all()
 
     def test_bias_applied_before_squash(self):
         # zero tensors leave each window capsule its bias, squashed

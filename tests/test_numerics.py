@@ -82,19 +82,6 @@ class TestConv1dValid:
         placements = len(range(0, length - kernel + 1, stride))
         assert out == placements >= 1
 
-    @pytest.mark.parametrize(
-        "args, message",
-        [
-            ((10, 3, 0), "stride must be >= 1, got 0"),
-            ((10, 0, 1), "kernel size must be >= 1, got 0"),
-            ((10.5, 3, 1), "signal length must be an integer, got 10.5"),
-            ((10, 3, True), "stride must be an integer, got True"),
-        ],
-    )
-    def test_malformed_arguments_rejected(self, args, message):
-        with pytest.raises(ValueError, match=message):
-            conv1d_output_length(*args)
-
     def test_identity_kernel_reproduces_signal(self):
         rng = np.random.default_rng(0)
         signal = rng.normal(size=(11, 1))

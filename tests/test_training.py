@@ -183,6 +183,14 @@ class TestAdam:
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
             adam_step(params, grads, AdamState.for_params(params), 0.1)
 
+    def test_overflowing_second_moment_raises(self):
+        # 1e160 squared overflows v to inf, which would turn the update into 0
+        params = miniature_params(6)
+        grads = constant_grads(params, 1.0)
+        grads["class_matrices"][0, 0, 0, 0, 0] = 1e160
+        with pytest.raises(FloatingPointError, match="class_matrices"):
+            adam_step(params, grads, AdamState.for_params(params), 0.01)
+
 
 class TestTrainRecord:
     def test_tsv_round_trips(self):
@@ -353,6 +361,17 @@ class TestTrain:
             train(huge, toy_split, config)
         assert err.value.epoch == 1
         assert err.value.batch_index == 0
+
+    def test_overflowing_adam_moment_diverges(self, toy_cube, toy_split, monkeypatch):
+        def huge_backward(params, cache, upstream):
+            return {name: np.full_like(arr, 1e160) for name, arr in params.arrays()}
+
+        monkeypatch.setattr(hsicaps.training, "backward_batch", huge_backward)
+        config = TrainConfig(epochs=1, batch_size=32, seed=0)
+        with pytest.raises(TrainingDiverged) as info:
+            train(toy_cube, toy_split, config)
+        assert (info.value.epoch, info.value.batch_index) == (1, 0)
+        assert "Adam" in str(info.value.__cause__)
 
     def test_overflowing_loss_diverges(self, monkeypatch):
         # class matrices at ten times their initial scale lift the absent
