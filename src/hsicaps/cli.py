@@ -46,7 +46,7 @@ from .layers import (
     read_checkpoint,
 )
 from .metrics import MarginConfig, format_metrics_kv, format_metrics_table
-from .numerics import check_int, check_seed
+from .numerics import check_float, check_int, check_seed
 from .training import (
     TrainConfig,
     TrainingDiverged,
@@ -419,11 +419,12 @@ def cmd_param_count(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    tolerance = check_float(args.tolerance, "tolerance", positive=True)
     reports = run_gradient_check(seed=args.seed, epsilon=args.epsilon)
     failed = False
     for group in sorted(reports):
         report = reports[group]
-        status = "ok" if report.max_relative_error < args.tolerance else "FAIL"
+        status = "ok" if report.max_relative_error < tolerance else "FAIL"
         failed = failed or status == "FAIL"
         print(
             f"{group}: max relative error {report.max_relative_error:.3e} "
@@ -431,7 +432,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         )
     if failed:
         print(
-            f"gradient check failed at tolerance {args.tolerance}", file=sys.stderr
+            f"gradient check failed at tolerance {tolerance}", file=sys.stderr
         )
         return EXIT_NUMERIC
     return EXIT_OK

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import check_int, check_seed, run_pieces
+from .numerics import check_float, check_int, check_seed, run_pieces
 
 __all__ = [
     "CubeFormatError",
@@ -71,7 +71,11 @@ class HsiCube:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int32)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f":
+            if not (np.isfinite(labels) & (labels == np.trunc(labels))).all():
+                raise ValueError("labels must be whole numbers")
+        self.labels = labels.astype(np.int32, copy=False)
         if self.values.ndim != 3:
             raise ValueError(f"values must be (H, W, C), got shape {self.values.shape}")
         if self.labels.shape != self.values.shape[:2]:
@@ -308,8 +312,7 @@ def fit_whitening(cube: HsiCube, epsilon: float = 1e-5) -> WhiteningTransform:
     ``epsilon`` far below the smallest eigenvalue the transformed population
     covariance is the identity.
     """
-    if not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    epsilon = check_float(epsilon, "epsilon", positive=True)
     pixels = cube.values.reshape(-1, cube.channels)
     if pixels.shape[0] < cube.channels + 1:
         raise ValueError(
@@ -464,9 +467,9 @@ def stratified_split(
     counts.  A class id in range with zero labeled pixels is skipped and
     recorded in ``skipped``.
     """
-    train_frac, val_frac = fractions
-    if not (train_frac > 0 and val_frac > 0):
-        raise ValueError(f"fractions must be positive, got {fractions}")
+    if not isinstance(fractions, (tuple, list)) or len(fractions) != 2:
+        raise ValueError(f"fractions must be a (train, val) pair, got {fractions!r}")
+    train_frac, val_frac = (check_float(f, "fractions", 1, positive=True) for f in fractions)
     if train_frac + val_frac >= 1:
         raise ValueError(f"fractions must sum to less than 1, got {fractions}")
     seed = check_seed(seed)
@@ -514,8 +517,7 @@ def make_synthetic_cube(
     width = check_int(width, "width")
     channels = check_int(channels, "channels")
     num_classes = check_int(num_classes, "num_classes", low=2)
-    if not 0 <= noise_sigma < np.inf:
-        raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
+    noise_sigma = check_float(noise_sigma, "noise_sigma")
     rng = np.random.default_rng(check_seed(seed))
     grid = np.arange(channels, dtype=np.float64)
     centers = (np.arange(num_classes) + 0.5) * channels / num_classes

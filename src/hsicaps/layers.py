@@ -46,6 +46,7 @@ __all__ = [
     "forward_batch",
     "load_checkpoint",
     "param_count",
+    "save_checkpoint",
     "squash",
 ]
 
@@ -788,8 +789,8 @@ def encode_checkpoint(
 def save_checkpoint(
     path: str, params: ModelParams, step: int, seed: int, settings: str = ""
 ) -> None:
-    """Write :func:`encode_checkpoint`'s bytes to ``path``; a ``ValueError``
-    leaves nothing written."""
+    """Write ``params`` as float32, with the step, seed and settings text, to
+    ``path`` (see README); a ``ValueError`` leaves nothing written."""
     write_atomic(path, encode_checkpoint(params, step, seed, settings))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import check_int
+from .numerics import check_float, check_int
 
 __all__ = [
     "ConfusionMatrix",
@@ -35,17 +35,14 @@ class MarginConfig:
     negative_weight: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.positive_margin < 1.0:
-            raise ValueError(f"positive_margin must be in (0, 1), got {self.positive_margin}")
-        if not 0.0 < self.negative_margin < 1.0:
-            raise ValueError(f"negative_margin must be in (0, 1), got {self.negative_margin}")
+        for name in ("positive_margin", "negative_margin", "negative_weight"):
+            high, positive = (np.inf, False) if name == "negative_weight" else (1, True)
+            object.__setattr__(self, name, check_float(getattr(self, name), name, high, positive))
         if self.negative_margin >= self.positive_margin:
             raise ValueError(
                 f"negative_margin {self.negative_margin} must lie below "
                 f"positive_margin {self.positive_margin}"
             )
-        if not 0.0 <= self.negative_weight < np.inf:
-            raise ValueError(f"negative_weight must be in [0, inf), got {self.negative_weight}")
 
 
 def margin_loss_batch(

@@ -1,6 +1,6 @@
 """Dense numerical primitives shared by every layer.
 
-The ReLU pair, the integer and seed rules, the output-length law of
+The ReLU pair, the integer, float and seed rules, the output-length law of
 valid-padding convolutions (nothing pads implicitly: ``floor((length - kernel)
 / stride) + 1``), a central-difference checker for the hand-written backward
 passes, and ``run_pieces``, which runs model pieces and preprocessing row
@@ -45,6 +45,15 @@ def check_int(value, name: str, low: float = 1) -> int:
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def check_float(value, name: str, high: float = np.inf, positive: bool = False) -> float:
+    """``value`` as a float if it is a Python or numpy real number (not a bool) in
+    [0, ``high``), or (0, ``high``) when ``positive``, else ``ValueError`` naming ``name``."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and (0 < value if positive else 0 <= value) and value < high):
+        raise ValueError(f"{name} must lie in {'(' if positive else '['}0, {high}), got {value!r}")
+    return float(value)
 
 
 def check_seed(value, name: str = "seed") -> int:
@@ -92,8 +101,7 @@ def finite_difference_check(
         ValueError: on shape mismatch, an empty parameter array, or an
             ``epsilon`` that is not positive and finite.
     """
-    if not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    epsilon = check_float(epsilon, "epsilon", positive=True)
     params = np.asarray(params, dtype=np.float64)
     analytic_grad = np.asarray(analytic_grad, dtype=np.float64)
     if analytic_grad.shape != params.shape:

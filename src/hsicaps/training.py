@@ -26,7 +26,7 @@ from .layers import (
     predict_classes,
 )
 from .metrics import ConfusionMatrix, MarginConfig, margin_loss_batch
-from .numerics import GradCheckReport, check_int, check_seed, finite_difference_check
+from .numerics import GradCheckReport, check_float, check_int, check_seed, finite_difference_check
 
 __all__ = [
     "TrainConfig",
@@ -56,12 +56,10 @@ class TrainConfig:
         self.epochs = check_int(self.epochs, "epochs")
         self.batch_size = check_int(self.batch_size, "batch_size")
         self.routing_iters = check_int(self.routing_iters, "routing_iters")
-        if not 0 <= self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
-        if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
-            raise ValueError("Adam betas must lie in [0, 1)")
-        if not 0 < self.adam_eps < np.inf:
-            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
+        self.learning_rate = check_float(self.learning_rate, "learning_rate")
+        self.adam_beta1 = check_float(self.adam_beta1, "adam_beta1", high=1)
+        self.adam_beta2 = check_float(self.adam_beta2, "adam_beta2", high=1)
+        self.adam_eps = check_float(self.adam_eps, "adam_eps", positive=True)
         self.seed = check_seed(self.seed)
 
 

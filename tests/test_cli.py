@@ -379,6 +379,13 @@ class TestTrainCommand:
         assert not (tmp_path / "out").exists()
 
 
+def flag_case(*argv, message=None):
+    """A ``test_flag`` case: the argv, the error it must print, and an id
+    naming the subcommand and the flag."""
+    message = message or f"invalid finite_float value: '{argv[-1]}'"
+    return pytest.param(list(argv), message, id=" ".join(argv[:1] + argv[-2:]))
+
+
 class TestNonFiniteSettings:
     """NaN and the infinities are refused wherever a float setting enters."""
 
@@ -404,21 +411,27 @@ class TestNonFiniteSettings:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["whiten", "CUBE", "-o", "OUT", "--epsilon", "inf"],
-            ["split", "CUBE", "--train-fraction", "nan"],
-            ["split", "CUBE", "--val-fraction", "inf"],
-            ["gradcheck", "--epsilon", "inf"],
-            ["gradcheck", "--tolerance", "nan"],
+            flag_case("whiten", "CUBE", "-o", "OUT", "--epsilon", "inf"),
+            flag_case("split", "CUBE", "--train-fraction", "nan"),
+            flag_case("split", "CUBE", "--val-fraction", "inf"),
+            flag_case("gradcheck", "--epsilon", "inf"),
+            flag_case("gradcheck", "--tolerance", "nan"),
+            # finite but not positive: a bad flag, not a failed check (exit 2)
+            flag_case(
+                "gradcheck", "--tolerance", "0", message="tolerance must lie in (0, inf), got 0.0"
+            ),
+            flag_case(
+                "gradcheck", "--tolerance", "-1", message="tolerance must lie in (0, inf), got -1.0"
+            ),
         ],
-        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )
-    def test_flag(self, argv, toy_cube_path, tmp_path, capsys):
+    def test_flag(self, argv, message, toy_cube_path, tmp_path, capsys):
         out = tmp_path / "out.hsic"
         argv = [{"CUBE": toy_cube_path, "OUT": str(out)}.get(a, a) for a in argv]
         assert main(argv) == 1
-        assert f"invalid finite_float value: '{argv[-1]}'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

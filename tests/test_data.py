@@ -540,7 +540,7 @@ class TestStratifiedSplit:
 
     @pytest.mark.parametrize("fractions", [(np.nan, 0.1), (0.2, np.nan)], ids=["train", "val"])
     def test_nan_fraction_rejected(self, fractions):
-        with pytest.raises(ValueError, match="fractions must be positive"):
+        with pytest.raises(ValueError, match=r"fractions must lie in \(0, 1\), got nan"):
             stratified_split(self.labeled_cube({1: 10}), fractions, seed=0)
 
     def test_seed_outside_64_bits_rejected(self):

@@ -6,9 +6,11 @@ a batch, a prediction budget small enough that the call runs as one or two
 sample pieces, and a child block small enough that routing runs over one or
 more blocks of children.  The engine is then compared with the straight-loop
 oracles in ``conftest.py``, with directional central differences, and with
-itself run as one whole call.  Hypothesis runs derandomized, so the examples
-are the same on every run; ``pytest --hypothesis-show-statistics`` prints the
-worst relative gradient error seen for each parameter family.
+itself run as one whole call, with pieces cut on the multiples of 8 samples
+(bit for bit) and off them (within rounding).  Hypothesis runs derandomized,
+so the examples are the same on every run; ``pytest
+--hypothesis-show-statistics`` prints the worst relative gradient error seen
+for each parameter family.
 """
 
 from contextlib import contextmanager
@@ -108,13 +110,15 @@ def engine_cases(draw):
 
 
 @contextmanager
-def shrunk(arch, samples, children):
-    """A prediction budget that ``samples`` samples of ``arch`` fit, and
-    routing blocks of ``children`` children, undone on exit (a
-    function-scoped fixture would outlive one example)."""
+def shrunk(arch, samples, children, multiple=8):
+    """A prediction budget that ``samples`` samples of ``arch`` fit, routing
+    blocks of ``children`` children, and piece cuts at multiples of
+    ``multiple`` samples, undone on exit (a function-scoped fixture would
+    outlive one example)."""
     with pytest.MonkeyPatch.context() as patch:
         shrink_prediction_budget(samples, patch, arch)
         shrink_child_blocks(children, patch, arch.num_classes, arch.class_capsule_dim)
+        patch.setattr(hsicaps.layers, "_BLOCK_MULTIPLE", multiple)
         yield
 
 
@@ -189,10 +193,9 @@ def check_directional_differences(params, patches, iterations):
         assert error < GRADIENT_GATE, (family, analytic, numeric)
 
 
-@ENGINE_SETTINGS
-@given(case=engine_cases())
-def test_piece_cuts_match_one_whole_call(case):
-    params, patches, iterations, budget, children = case
+def run_in_pieces(params, patches, iterations, budget, children, multiple=8):
+    """Activations and gradients of ``patches`` run as one whole call and as
+    the pieces ``budget`` and ``multiple`` give: (whole, pieced) pairs."""
     upstream = np.random.default_rng(1).normal(
         size=(len(patches), params.arch.num_classes, params.arch.class_capsule_dim)
     )
@@ -202,11 +205,36 @@ def test_piece_cuts_match_one_whole_call(case):
         )
         assert len(whole_cache.pieces) == 1
         whole_grads = backward_batch(params, whole_cache, upstream)
-    with shrunk(params.arch, budget, children):
+    with shrunk(params.arch, budget, children, multiple):
         acts, cache = forward_batch(params, patches, iterations, keep_cache=True)
         grads = backward_batch(params, cache, upstream)
+    return (whole_acts, acts), (whole_grads, grads)
+
+
+def assert_close(want, got, name):
+    """Within 1e-14 of ``want``'s largest magnitude."""
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+
+
+@ENGINE_SETTINGS
+@given(case=engine_cases())
+def test_piece_cuts_match_one_whole_call(case):
+    (whole_acts, acts), (whole_grads, grads) = run_in_pieces(*case)
     # pieces are cut at multiples of 8 samples, so activations match bit for bit
     assert np.array_equal(acts, whole_acts)
     for name, grad in grads.items():
-        scale = np.abs(whole_grads[name]).max()
-        assert np.abs(grad - whole_grads[name]).max() <= 1e-14 * scale, name
+        assert_close(whole_grads[name], grad, name)
+
+
+@ENGINE_SETTINGS
+@given(case=engine_cases())
+def test_unaligned_piece_cuts_match_one_whole_call_within_rounding(case):
+    params, patches, iterations, _, children = case
+    # every batch of two or more samples runs as two pieces, cut at
+    # ceil(batch / 2) samples: off the multiples of 8 unless that is 8 or 16
+    (whole_acts, acts), (whole_grads, grads) = run_in_pieces(
+        params, patches, iterations, len(patches) - 1, children, multiple=1
+    )
+    assert_close(whole_acts, acts, "activations")
+    for name, grad in grads.items():
+        assert_close(whole_grads[name], grad, name)

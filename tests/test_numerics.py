@@ -1,5 +1,7 @@
 """Primitive operations against brute-force references and known values."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from hsicaps.layers import _conv_forward
 from hsicaps.metrics import margin_loss_batch
 from hsicaps.numerics import (
+    check_float,
     check_int,
     check_seed,
     conv1d_output_length,
@@ -223,6 +226,51 @@ class TestCheckInt:
     def test_integers_accepted_as_int(self, value):
         count = check_int(value, "count")
         assert type(count) is int and count == int(value)
+
+
+class TestCheckFloat:
+    @pytest.mark.parametrize(
+        "value", [True, False, np.bool_(False), "0.5", None, [0.5], np.ones(1)], ids=repr
+    )
+    def test_non_number_refused(self, value):
+        pattern = r"rate must lie in \[0, inf\), got " + re.escape(repr(value))
+        with pytest.raises(ValueError, match=pattern):
+            check_float(value, "rate")
+
+    @pytest.mark.parametrize(
+        "value, high, positive, interval",
+        [
+            (-0.1, np.inf, False, r"\[0, inf\)"),
+            (-np.inf, np.inf, False, r"\[0, inf\)"),
+            (np.inf, np.inf, False, r"\[0, inf\)"),
+            (np.nan, np.inf, False, r"\[0, inf\)"),
+            (0.0, np.inf, True, r"\(0, inf\)"),
+            (np.float32(1.0), 1, False, r"\[0, 1\)"),
+            (1, 1, True, r"\(0, 1\)"),
+        ],
+        ids=repr,
+    )
+    def test_outside_interval_refused(self, value, high, positive, interval):
+        pattern = f"rate must lie in {interval}, got {re.escape(repr(value))}"
+        with pytest.raises(ValueError, match=pattern):
+            check_float(value, "rate", high, positive)
+
+    @pytest.mark.parametrize(
+        "value, high, positive",
+        [
+            (0, np.inf, False),
+            (0.0, 1, False),
+            (1e-300, np.inf, True),
+            (2**70, np.inf, False),
+            (np.float32(0.25), 1, True),
+            (np.float64(0.999), 1, True),
+            (np.int64(3), 4, True),
+        ],
+        ids=repr,
+    )
+    def test_real_numbers_accepted_as_float(self, value, high, positive):
+        rate = check_float(value, "rate", high, positive)
+        assert type(rate) is float and rate == float(value)
 
 
 class TestCheckSeed:

@@ -3,7 +3,8 @@ naming the input.
 
 One row per (callable, malformed input): a float or ``True`` where an
 integer or a seed goes, a coordinate array that is not integer (m, 2)
-pixels inside the cube, an empty batch, or NaN in a float setting.  Every
+pixels inside the cube, an empty batch, labels that are not whole numbers,
+or a string, ``True``, NaN or an infinity where a float setting goes.  Every
 input is fixed, so the table runs the same way each time.  Passing some
 other object where one of the package's own dataclasses goes is out of
 scope, and so are the callables that take nothing else.
@@ -56,10 +57,16 @@ ROWS = [
     row(synthetic, "seed-float", 8, 8, 8, 3, seed=2.5, match="seed"),
     row(synthetic, "seed-True", 8, 8, 8, 3, seed=True, match="seed"),
     row(synthetic, "noise_sigma-nan", 8, 8, 8, 3, noise_sigma=NAN, match="noise_sigma"),
+    row(synthetic, "noise_sigma-str", 8, 8, 8, 3, noise_sigma="x", match="noise_sigma"),
     row(split, "seed-float", CUBE, (0.3, 0.3), 2.5, match="seed"),
     row(split, "seed-True", CUBE, (0.3, 0.3), True, match="seed"),
     row(split, "fractions-nan", CUBE, (NAN, 0.3), 0, match="fractions"),
+    row(split, "fractions-str", CUBE, ("a", "b"), 0, match="fractions"),
+    row(split, "fractions-scalar", CUBE, 0.3, 0, match="fractions"),
+    row(split, "fractions-triple", CUBE, (0.3, 0.3, 0.3), 0, match="fractions"),
     row(data.fit_whitening, "epsilon-nan", CUBE, NAN, match="epsilon"),
+    row(data.fit_whitening, "epsilon-str", CUBE, "x", match="epsilon"),
+    row(data.fit_whitening, "epsilon-True", CUBE, True, match="epsilon"),
     row(data.reflect_index, "size-float", 1, 2.5, match="size"),
     row(data.reflect_index, "size-True", 1, True, match="size"),
     row(data.reflect_index, "index-float", [1.5], 5, match="index"),
@@ -73,6 +80,8 @@ ROWS = [
     row(patches, "coords-negative", CUBE, [[0, -1]], 3, match="coords"),
     row(data.HsiCube, "values-flat", np.zeros((4, 4)), np.zeros((4, 4)), match="values"),
     row(data.HsiCube, "labels-shape", np.zeros((4, 4, 2)), np.zeros((4, 3)), match="labels"),
+    row(data.HsiCube, "labels-fraction", np.zeros((1, 1, 1)), [[1.5]], match="labels"),
+    row(data.HsiCube, "labels-nan", np.zeros((1, 1, 1)), [[NAN]], match="labels"),
     row(Architecture, "channels-float", channels=10.5, match="channels"),
     row(Architecture, "num_classes-float", num_classes=2.5, match="num_classes"),
     row(Architecture, "patch_size-True", patch_size=True, match="patch_size"),
@@ -84,6 +93,8 @@ ROWS = [
     row(layers.init_params, "seed-float", ARCH, 2.5, match="seed"),
     row(layers.init_params, "seed-True", ARCH, True, match="seed"),
     row(layers.init_params, "seed-negative", ARCH, -1, match="seed"),
+    # into a missing directory, so a write before the check would raise OSError
+    row(layers.save_checkpoint, "step-float", "no-such-dir/m.cckp", PARAMS, 2.5, 0, match="step"),
     row(forward, "routing_iters-float", PARAMS, PATCHES, 2.5, match="routing_iters"),
     row(forward, "routing_iters-True", PARAMS, PATCHES, True, match="routing_iters"),
     row(forward, "empty", PARAMS, PATCHES[:0], match="patches"),
@@ -95,6 +106,7 @@ ROWS = [
     row(metrics.ConfusionMatrix, "num_classes-True", True, match="num_classes"),
     row(metrics.ConfusionMatrix(3).accumulate_many, "ids-float", [1.9], [1], match="class ids"),
     row(metrics.MarginConfig, "positive_margin-nan", positive_margin=NAN, match="positive_margin"),
+    row(metrics.MarginConfig, "positive_margin-str", positive_margin="x", match="positive_margin"),
     row(metrics.MarginConfig, "negative_margin-nan", negative_margin=NAN, match="negative_margin"),
     row(metrics.MarginConfig, "negative_weight-nan", negative_weight=NAN, match="negative_weight"),
     row(training.TrainConfig, "epochs-float", epochs=2.5, match="epochs"),
@@ -102,6 +114,8 @@ ROWS = [
     row(training.TrainConfig, "routing_iters-float", routing_iters=2.5, match="routing_iters"),
     row(training.TrainConfig, "seed-float", seed=2.5, match="seed"),
     row(training.TrainConfig, "learning_rate-nan", learning_rate=NAN, match="learning_rate"),
+    row(training.TrainConfig, "learning_rate-str", learning_rate="x", match="learning_rate"),
+    row(training.TrainConfig, "learning_rate-True", learning_rate=True, match="learning_rate"),
     row(training.TrainConfig, "adam_beta1-nan", adam_beta1=NAN, match="beta"),
     row(training.TrainConfig, "adam_beta2-nan", adam_beta2=NAN, match="beta"),
     row(training.TrainConfig, "adam_eps-nan", adam_eps=NAN, match="adam_eps"),
