@@ -3,14 +3,15 @@
 Subcommands: ``info``, ``whiten``, ``split``, ``train``, ``eval``,
 ``param-count``, ``gradcheck``, ``render-map``.  Exit codes: 0 on success,
 1 for validation problems (bad flags, malformed config or container files,
-mismatched shapes), 2 for numerical failures (gradient-check tolerance
-violations, training divergence).
+mismatched shapes) and running out of memory, 2 for numerical failures
+(gradient-check tolerance violations, training divergence).
 
 Run settings travel in a ``key = value`` config file (one pair per line,
-``#`` comments); ``HSICAPS_OUTPUT_DIR`` overrides the configured output
-directory when set.  ``train`` stores the settings, less the two paths, in
-the checkpoint, and ``eval`` and ``render-map`` take the split, seed,
-whitening and routing depth from there.
+``#`` comments), each key an ``Architecture`` or ``TrainConfig`` field name
+or a run-only setting (paths, split, whitening); ``HSICAPS_OUTPUT_DIR``
+overrides the configured output directory when set.  ``train`` stores the
+settings, less the two paths, in the checkpoint, and ``eval`` and
+``render-map`` take the split, seed, whitening and routing depth from there.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .layers import (
     param_count,
     read_checkpoint,
 )
-from .metrics import MarginConfig, format_metrics_kv, format_metrics_table
+from .metrics import format_metrics_kv, format_metrics_table
 from .numerics import check_float, check_int, check_seed
 from .training import (
     TrainConfig,
@@ -94,20 +95,14 @@ DEFAULT_PALETTE: dict[int, tuple[int, int, int]] = {
 }
 
 
-# RunConfig key -> (declaring class, field) for the run settings the library
-# dataclasses declare; the cube gives channels and num_classes, and config
-# files name the margin fields margin_*
-_MARGIN_KEYS = {
-    "positive_margin": "margin_upper",
-    "negative_margin": "margin_lower",
-    "negative_weight": "margin_weight",
-}
-_DECLARED = {
-    _MARGIN_KEYS.get(f.name, f.name): (cls, f)
-    for cls in (Architecture, TrainConfig, MarginConfig)
+# The run settings the library dataclasses declare, each under its field
+# name; the cube gives channels and num_classes.
+_DECLARED = [
+    f
+    for cls in (Architecture, TrainConfig)
     for f in dataclasses.fields(cls)
-    if f.name not in ("channels", "num_classes", "margin")
-}
+    if f.name not in ("channels", "num_classes")
+]
 
 
 @dataclass
@@ -122,22 +117,27 @@ class _RunOnlySettings:
     whiten: bool = True
     whiten_epsilon: float = 1e-5
 
+    def __post_init__(self) -> None:
+        train = check_float(self.train_fraction, "train_fraction", high=1, positive=True)
+        val = check_float(self.val_fraction, "val_fraction", high=1, positive=True)
+        if train + val >= 1:
+            raise ValueError(f"train_fraction {train} and val_fraction {val} must sum below 1")
+        check_float(self.whiten_epsilon, "whiten_epsilon", positive=True)
+
     def architecture(self, channels: int, num_classes: int) -> Architecture:
         return self._build(Architecture, channels=channels, num_classes=num_classes)
 
     def train_config(self) -> TrainConfig:
-        return self._build(TrainConfig, margin=self._build(MarginConfig))
+        return self._build(TrainConfig)
 
     def _build(self, cls, **given):
-        for key, (owner, f) in _DECLARED.items():
-            if owner is cls:
-                given[f.name] = getattr(self, key)
-        return cls(**given)
+        names = [f.name for f in dataclasses.fields(cls) if f.name not in given]
+        return cls(**given, **{name: getattr(self, name) for name in names})
 
 
 RunConfig = dataclasses.make_dataclass(
     "RunConfig",
-    [(key, f.type, dataclasses.field(default=f.default)) for key, (_, f) in _DECLARED.items()],
+    [(f.name, f.type, dataclasses.field(default=f.default)) for f in _DECLARED],
     bases=(_RunOnlySettings,),
     namespace={"__module__": __name__, "__doc__": "Everything a training run needs."},
 )
@@ -535,6 +535,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse -h
         code = exc.code

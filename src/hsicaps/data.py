@@ -72,9 +72,12 @@ class HsiCube:
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
         labels = np.asarray(self.labels)
-        if labels.dtype.kind == "f":
-            if not (np.isfinite(labels) & (labels == np.trunc(labels))).all():
-                raise ValueError("labels must be whole numbers")
+        # checked before the cast, which would truncate fractions and wrap large
+        # ids; the cube file stores labels as u16
+        if labels.dtype.kind not in "buif" or not (
+            (labels >= 0) & (labels <= 65535) & (labels == np.trunc(labels))
+        ).all():
+            raise ValueError("labels must be whole numbers in [0, 65535]")
         self.labels = labels.astype(np.int32, copy=False)
         if self.values.ndim != 3:
             raise ValueError(f"values must be (H, W, C), got shape {self.values.shape}")
@@ -85,8 +88,6 @@ class HsiCube:
             )
         if min(self.values.shape) < 1:
             raise ValueError(f"all cube dimensions must be >= 1, got {self.values.shape}")
-        if (self.labels < 0).any():
-            raise ValueError("labels must be non-negative")
 
     @property
     def height(self) -> int:
@@ -187,8 +188,6 @@ def save_cube(cube: HsiCube, path: str) -> None:
     ``ValueError`` before anything is written.
     """
     include_labels = bool(cube.labels.any())
-    if include_labels and cube.num_classes() > np.iinfo(np.uint16).max:
-        raise ValueError("label ids exceed the uint16 storage range")
     header = _HEADER.pack(
         CUBE_MAGIC, CUBE_VERSION, cube.height, cube.width, cube.channels, int(include_labels)
     )

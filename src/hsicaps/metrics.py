@@ -8,47 +8,26 @@ per-class accuracy, and the chance-corrected agreement coefficient from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numerics import check_float, check_int
+from .numerics import check_int
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 __all__ = [
     "ConfusionMatrix",
-    "MarginConfig",
     "MetricsResult",
     "format_metrics_table",
 ]
 
 
-@dataclass(frozen=True)
-class MarginConfig:
-    """Margins of the two-sided hinge on capsule lengths.
-
-    The present class is pushed above ``positive_margin``, absent classes
-    below ``negative_margin``; ``negative_weight`` scales the absent-class
-    side so early training is not dominated by shrinking every capsule.
-    """
-
-    positive_margin: float = 0.9
-    negative_margin: float = 0.1
-    negative_weight: float = 0.5
-
-    def __post_init__(self) -> None:
-        for name in ("positive_margin", "negative_margin", "negative_weight"):
-            high, positive = (np.inf, False) if name == "negative_weight" else (1, True)
-            object.__setattr__(self, name, check_float(getattr(self, name), name, high, positive))
-        if self.negative_margin >= self.positive_margin:
-            raise ValueError(
-                f"negative_margin {self.negative_margin} must lie below "
-                f"positive_margin {self.positive_margin}"
-            )
-
-
 def margin_loss_batch(
     activations: np.ndarray,
     true_classes: np.ndarray,
-    config: MarginConfig = MarginConfig(),
+    config: TrainConfig,
 ) -> tuple[float, np.ndarray]:
     """Batched margin loss: the mean over samples, plus its gradient.
 
@@ -58,9 +37,13 @@ def margin_loss_batch(
         sum_k [ T_k * max(0, m+ - v_k)^2
                 + w * (1 - T_k) * max(0, v_k - m-)^2 ]
 
-    where T is the one-hot truth.  The returned gradient is that of the mean,
-    so it already carries the 1/B; at an exactly zero-length capsule it is
-    taken as zero.  A non-finite loss or gradient raises FloatingPointError.
+    where T is the one-hot truth and m+, m- and w are ``config``'s
+    ``margin_upper``, ``margin_lower`` and ``margin_weight``: the present
+    class is pushed above m+, absent classes below m-, and w keeps early
+    training from being dominated by shrinking every capsule.  The returned
+    gradient is that of the mean, so it already carries the 1/B; at an
+    exactly zero-length capsule it is taken as zero.  A non-finite loss or
+    gradient raises FloatingPointError.
     """
     activations = np.asarray(activations, dtype=np.float64)
     if activations.ndim != 3 or not len(activations):
@@ -76,18 +59,18 @@ def margin_loss_batch(
     onehot = np.zeros((batch, num_classes))
     onehot[np.arange(batch), true_classes - 1] = 1.0
 
-    # the check below reports what an overflow (a huge negative_weight) would warn about
+    # the check below reports what an overflow (a huge margin_weight) would warn about
     with np.errstate(over="ignore", invalid="ignore"):
-        present_gap = np.maximum(0.0, config.positive_margin - lengths)
-        absent_gap = np.maximum(0.0, lengths - config.negative_margin)
+        present_gap = np.maximum(0.0, config.margin_upper - lengths)
+        absent_gap = np.maximum(0.0, lengths - config.margin_lower)
         loss = (
             onehot * present_gap**2
-            + config.negative_weight * (1.0 - onehot) * absent_gap**2
+            + config.margin_weight * (1.0 - onehot) * absent_gap**2
         ).sum(axis=1).mean()
 
         d_length = (
             -2.0 * onehot * present_gap
-            + 2.0 * config.negative_weight * (1.0 - onehot) * absent_gap
+            + 2.0 * config.margin_weight * (1.0 - onehot) * absent_gap
         )
         inv_length = np.divide(1.0, lengths, out=np.zeros_like(lengths), where=lengths > 0)
         grad = (d_length * inv_length)[..., None] * activations / batch

@@ -51,9 +51,13 @@ def check_float(value, name: str, high: float = np.inf, positive: bool = False) 
     """``value`` as a float if it is a Python or numpy real number (not a bool) in
     [0, ``high``), or (0, ``high``) when ``positive``, else ``ValueError`` naming ``name``."""
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and (0 < value if positive else 0 <= value) and value < high):
+    try:
+        number = float(value) if real else np.nan
+    except OverflowError:  # a Python int beyond the float64 range
+        number = np.inf
+    if not ((0 < number if positive else 0 <= number) and number < high):
         raise ValueError(f"{name} must lie in {'(' if positive else '['}0, {high}), got {value!r}")
-    return float(value)
+    return number
 
 
 def check_seed(value, name: str = "seed") -> int:

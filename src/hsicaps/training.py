@@ -9,7 +9,7 @@ run bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .layers import (
     init_params,
     predict_classes,
 )
-from .metrics import ConfusionMatrix, MarginConfig, margin_loss_batch
+from .metrics import ConfusionMatrix, margin_loss_batch
 from .numerics import GradCheckReport, check_float, check_int, check_seed, finite_difference_check
 
 __all__ = [
@@ -40,17 +40,20 @@ __all__ = [
 
 @dataclass
 class TrainConfig:
-    """Optimization settings; the defaults are the reference recipe."""
+    """Optimization settings, the margin loss's (``metrics.margin_loss_batch``)
+    last; the defaults are the reference recipe."""
 
     epochs: int = 50
     learning_rate: float = 0.01
     batch_size: int = 64
     routing_iters: int = 3
-    margin: MarginConfig = field(default_factory=MarginConfig)
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
+    margin_upper: float = 0.9
+    margin_lower: float = 0.1
+    margin_weight: float = 0.5
 
     def __post_init__(self) -> None:
         self.epochs = check_int(self.epochs, "epochs")
@@ -61,6 +64,13 @@ class TrainConfig:
         self.adam_beta2 = check_float(self.adam_beta2, "adam_beta2", high=1)
         self.adam_eps = check_float(self.adam_eps, "adam_eps", positive=True)
         self.seed = check_seed(self.seed)
+        self.margin_upper = check_float(self.margin_upper, "margin_upper", high=1, positive=True)
+        self.margin_lower = check_float(self.margin_lower, "margin_lower", high=1, positive=True)
+        self.margin_weight = check_float(self.margin_weight, "margin_weight")
+        if self.margin_lower >= self.margin_upper:
+            raise ValueError(
+                f"margin_lower {self.margin_lower} must lie below margin_upper {self.margin_upper}"
+            )
 
 
 @dataclass
@@ -265,9 +275,7 @@ def train(
                 activations, cache = forward_batch(
                     params, patches, config.routing_iters, keep_cache=True
                 )
-                loss, grad = margin_loss_batch(
-                    activations, train_labels[chosen], config.margin
-                )
+                loss, grad = margin_loss_batch(activations, train_labels[chosen], config)
                 grads = backward_batch(params, cache, grad)
                 adam_step(
                     params,
@@ -322,14 +330,15 @@ def run_gradient_check(
     params = init_params(arch, rng)
     patches = rng.normal(0.0, 1.0, (2, arch.patch_size, arch.patch_size, arch.channels))
     labels = rng.integers(1, arch.num_classes + 1, 2)
+    margins = TrainConfig()
 
     activations, cache = forward_batch(params, patches, routing_iters, keep_cache=True)
-    _, loss_grad = margin_loss_batch(activations, labels)
+    _, loss_grad = margin_loss_batch(activations, labels, margins)
     grads = backward_batch(params, cache, loss_grad)
 
     def loss_at_current_params(_: np.ndarray) -> float:
         acts, _ = forward_batch(params, patches, routing_iters)
-        value, _ = margin_loss_batch(acts, labels)
+        value, _ = margin_loss_batch(acts, labels, margins)
         return value
 
     reports: dict[str, GradCheckReport] = {}

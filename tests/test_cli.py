@@ -37,6 +37,36 @@ from hsicaps.training import TrainingDiverged
 from conftest import NON_FINITE_FLOAT32
 
 
+STORED_DEFAULTS = """\
+train_fraction = 0.2
+val_fraction = 0.1
+whiten = true
+whiten_epsilon = 1e-05
+patch_size = 7
+spatial_filters = 16
+primary_kernel_size = 9
+primary_stride = 2
+capsule_arrays = 2
+capsule_dim = 8
+window_size = 9
+window_stride = 2
+window_count = 4
+window_capsule_dim = 8
+class_capsule_dim = 16
+epochs = 50
+learning_rate = 0.01
+batch_size = 64
+routing_iters = 3
+adam_beta1 = 0.9
+adam_beta2 = 0.999
+adam_eps = 1e-08
+seed = 0
+margin_upper = 0.9
+margin_lower = 0.1
+margin_weight = 0.5
+"""
+
+
 class TestConfigFile:
     def test_round_trip(self):
         config = RunConfig(
@@ -63,6 +93,10 @@ class TestConfigFile:
     def test_scalars_round_trip(self, values):
         config = RunConfig(**values)
         assert parse_config(serialize_config(config)) == config
+
+    def test_stored_settings_text_is_fixed(self):
+        # what every checkpoint stores: keys, order and default values
+        assert serialize_config(RunConfig(), omit=("cube", "output_dir")) == STORED_DEFAULTS
 
     def test_fractional_int_setting_not_written(self):
         with pytest.raises(TypeError):
@@ -377,6 +411,47 @@ class TestTrainCommand:
         assert main(["train", str(config_path)]) == 1
         assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("margin_upper = 1.5", "margin_upper must lie in (0, 1), got 1.5"),
+            ("margin_lower = 0.95", "margin_lower 0.95 must lie below margin_upper 0.9"),
+            (
+                "train_fraction = 0.95",
+                "train_fraction 0.95 and val_fraction 0.1 must sum below 1",
+            ),
+            ("val_fraction = 0", "val_fraction must lie in (0, 1), got 0.0"),
+            ("whiten_epsilon = 0", "whiten_epsilon must lie in (0, inf), got 0.0"),
+        ],
+        ids=["margin_upper", "margin_lower", "train_fraction", "val_fraction", "whiten_epsilon"],
+    )
+    def test_bad_setting_named_before_any_file_is_touched(
+        self, line, message, toy_cube_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(hsicaps.cli, "load_cube", lambda path: pytest.fail("cube read"))
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(
+            f"cube = {toy_cube_path}\noutput_dir = {tmp_path / 'out'}\n{line}\n"
+        )
+        assert main(["train", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    # each asks for more memory than the child's address-space cap allows:
+    # 3M spatial filters at init, and the cache of 1e12 routing iterations
+    @pytest.mark.parametrize(
+        "line", ["spatial_filters = 3000000", "routing_iters = 1000000000000"]
+    )
+    def test_setting_too_large_for_memory_exits_1(self, line, toy_cube_path, tmp_path):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(
+            f"cube = {toy_cube_path}\noutput_dir = {tmp_path / 'out'}\nepochs = 1\n{line}\n"
+        )
+        result = run_capped(["train", str(config_path)], cap_bytes=512 * 2**20, cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("error: out of memory: ")
+        assert result.stderr.count("\n") == 1
 
 
 def flag_case(*argv, message=None):
@@ -789,16 +864,41 @@ class TestAtomicArtifacts:
         assert not [p for p in out_dir.iterdir() if p.name.endswith(".tmp")]
 
 
+def subprocess_env():
+    """This environment, with this checkout's sources first on the path and
+    BLAS on one thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_capped(argv, cap_bytes, cwd):
+    """``hsicaps ARGV`` in a fresh interpreter whose address space is capped
+    at ``cap_bytes``; the cap applies to that process alone."""
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap_bytes}, {cap_bytes}))\n"
+        "from hsicaps.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=cwd,
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def run_param_count_module(module, cwd):
     """``python -m MODULE param-count`` on the reference shape, in a fresh
     interpreter that imports this checkout's sources."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", module, "param-count", "--channels", "200", "--classes", "16"],
         cwd=cwd,
-        env=env,
+        env=subprocess_env(),
         capture_output=True,
         text=True,
         timeout=60,

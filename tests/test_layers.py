@@ -39,6 +39,7 @@ from hsicaps.layers import (
 )
 from hsicaps.metrics import margin_loss_batch
 from hsicaps.numerics import finite_difference_check, relu
+from hsicaps.training import TrainConfig
 
 from conftest import (
     DISTINCT_ARCHITECTURE,
@@ -708,7 +709,7 @@ class TestHalves:
 
         def step():
             acts, cache = forward_batch(params, patches, keep_cache=True)
-            loss, grad = margin_loss_batch(acts, labels)
+            loss, grad = margin_loss_batch(acts, labels, TrainConfig())
             return acts, loss, cache, backward_batch(params, cache, grad)
 
         whole_acts, whole_loss, whole_cache, whole_grads = step()

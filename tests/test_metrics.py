@@ -9,38 +9,45 @@ from hypothesis import strategies as st
 
 from hsicaps.metrics import (
     ConfusionMatrix,
-    MarginConfig,
     format_metrics_kv,
     format_metrics_table,
     margin_loss_batch,
 )
 from hsicaps.numerics import finite_difference_check
+from hsicaps.training import TrainConfig
+
+# the reference margins: m+ = 0.9, m- = 0.1, weight 0.5
+MARGINS = TrainConfig()
 
 
 class TestMarginConfig:
+    """The margin settings, which ``TrainConfig`` declares under their
+    config keys."""
+
     def test_defaults(self):
-        config = MarginConfig()
-        assert (config.positive_margin, config.negative_margin) == (0.9, 0.1)
-        assert config.negative_weight == 0.5
+        config = TrainConfig()
+        assert (config.margin_upper, config.margin_lower) == (0.9, 0.1)
+        assert config.margin_weight == 0.5
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, key",
         [
-            {"positive_margin": 0.0},
-            {"positive_margin": 1.0},
-            {"negative_margin": 0.0},
-            {"negative_margin": 0.95},  # above the positive margin
-            {"negative_weight": -0.1},
+            ({"margin_upper": 0.0}, "margin_upper"),
+            ({"margin_upper": 1.0}, "margin_upper"),
+            ({"margin_lower": 0.0}, "margin_lower"),
+            ({"margin_lower": 0.95}, "margin_lower .* margin_upper"),  # above the upper margin
+            ({"margin_weight": -0.1}, "margin_weight"),
         ],
+        ids=[f"kwargs{i}" for i in range(5)],
     )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            MarginConfig(**kwargs)
+    def test_validation(self, kwargs, key):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**kwargs)
 
     @pytest.mark.parametrize("weight", [np.nan, np.inf])
     def test_non_finite_negative_weight_rejected(self, weight):
-        with pytest.raises(ValueError, match=f"negative_weight .* got {weight}"):
-            MarginConfig(negative_weight=weight)
+        with pytest.raises(ValueError, match=f"margin_weight .* got {weight}"):
+            TrainConfig(margin_weight=weight)
 
 
 class TestMarginLoss:
@@ -50,7 +57,7 @@ class TestMarginLoss:
         # lengths 0.6 and 0.3 with class 1 present:
         #   (0.9 - 0.6)^2 + 0.5 * (0.3 - 0.1)^2 = 0.09 + 0.02 = 0.11
         activations = np.array([[0.6, 0.0], [0.3, 0.0]])
-        loss, grad = margin_loss_batch(activations[None], [1])
+        loss, grad = margin_loss_batch(activations[None], [1], MARGINS)
         assert loss == pytest.approx(0.11, rel=1e-12)
         np.testing.assert_allclose(
             grad, [[[-0.6, 0.0], [0.2, 0.0]]], rtol=1e-12
@@ -58,33 +65,36 @@ class TestMarginLoss:
 
     def test_satisfied_margins_give_zero(self):
         activations = np.array([[0.95, 0.0], [0.05, 0.0]])
-        loss, grad = margin_loss_batch(activations[None], [1])
+        loss, grad = margin_loss_batch(activations[None], [1], MARGINS)
         assert loss == 0.0
         assert not grad.any()
 
     def test_zero_length_true_capsule(self):
         activations = np.array([[0.0, 0.0], [0.05, 0.0]])
-        loss, grad = margin_loss_batch(activations[None], [1])
+        loss, grad = margin_loss_batch(activations[None], [1], MARGINS)
         assert loss == pytest.approx(0.81, rel=1e-12)
         # direction of a zero vector is undefined; the gradient is pinned to 0
         np.testing.assert_array_equal(grad[0, 0], [0.0, 0.0])
 
     def test_negative_weight_zero_ignores_absent_classes(self):
         activations = np.array([[0.9, 0.0], [0.8, 0.0]])
-        loss, _ = margin_loss_batch(activations[None], [1], MarginConfig(negative_weight=0.0))
+        loss, _ = margin_loss_batch(activations[None], [1], TrainConfig(margin_weight=0.0))
         assert loss == 0.0
 
     def test_wrong_class_penalized_from_both_sides(self):
         activations = np.array([[0.1, 0.0], [0.9, 0.0]])
-        loss, _ = margin_loss_batch(activations[None], [1])
+        loss, _ = margin_loss_batch(activations[None], [1], MARGINS)
         assert loss == pytest.approx(0.8**2 + 0.5 * 0.8**2, rel=1e-12)
 
     def test_batch_mean_and_scaling(self):
         rng = np.random.default_rng(0)
         activations = rng.normal(0, 0.4, (3, 4, 5))
         classes = np.array([1, 3, 4])
-        mean, grad_mean = margin_loss_batch(activations, classes)
-        singles = [margin_loss_batch(activations[b : b + 1], classes[b : b + 1]) for b in range(3)]
+        mean, grad_mean = margin_loss_batch(activations, classes, MARGINS)
+        singles = [
+            margin_loss_batch(activations[b : b + 1], classes[b : b + 1], MARGINS)
+            for b in range(3)
+        ]
         assert mean == pytest.approx(sum(s for s, _ in singles) / 3.0, rel=1e-12)
         for b, (_, g) in enumerate(singles):
             np.testing.assert_allclose(grad_mean[b], g[0] / 3.0, rtol=1e-12)
@@ -93,33 +103,33 @@ class TestMarginLoss:
         rng = np.random.default_rng(8)
         activations = rng.normal(0, 0.3, (2, 3, 4))
         classes = np.array([2, 1])
-        _, grad = margin_loss_batch(activations, classes)
+        _, grad = margin_loss_batch(activations, classes, MARGINS)
         report = finite_difference_check(
-            lambda a: margin_loss_batch(a, classes)[0], activations, grad
+            lambda a: margin_loss_batch(a, classes, MARGINS)[0], activations, grad
         )
         assert report.max_relative_error < 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError, match="class ids"):
-            margin_loss_batch(np.zeros((1, 2, 3)), [0])
+            margin_loss_batch(np.zeros((1, 2, 3)), [0], MARGINS)
         with pytest.raises(ValueError, match="class ids"):
-            margin_loss_batch(np.zeros((1, 2, 3)), [3])
+            margin_loss_batch(np.zeros((1, 2, 3)), [3], MARGINS)
         with pytest.raises(ValueError, match="activations"):
-            margin_loss_batch(np.zeros((2, 3)), [1])
+            margin_loss_batch(np.zeros((2, 3)), [1], MARGINS)
         with pytest.raises(ValueError, match="true_classes"):
-            margin_loss_batch(np.zeros((2, 2, 3)), np.array([1, 1, 1]))
+            margin_loss_batch(np.zeros((2, 2, 3)), np.array([1, 1, 1]), MARGINS)
 
     @pytest.mark.parametrize("ids", [[1.5, 2.0], [True, True]], ids=repr)
     def test_non_integer_class_ids_rejected(self, ids):
         with pytest.raises(ValueError, match="class ids must be integers"):
-            margin_loss_batch(np.zeros((2, 2, 3)), ids)
+            margin_loss_batch(np.zeros((2, 2, 3)), ids, MARGINS)
 
     def test_overflowing_loss_raises_without_warning(self):
         # 15 absent classes at length 0.95 sum past the float64 range, while
         # each gradient entry stays finite
         activations = np.zeros((1, 16, 16))
         activations[:, :, 0] = 0.95
-        config = MarginConfig(negative_weight=5e307)
+        config = TrainConfig(margin_weight=5e307)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="margin loss"):

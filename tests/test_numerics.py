@@ -18,6 +18,7 @@ from hsicaps.numerics import (
     relu,
     relu_grad,
 )
+from hsicaps.training import TrainConfig
 
 from conftest import oracle_conv1d
 
@@ -176,12 +177,12 @@ class TestFiniteDifferenceCheck:
         # lengths sit away from both hinge corners so the loss is smooth here
         rng = np.random.default_rng(8)
         activations = rng.normal(0.0, 0.3, (1, 2, 3))
-        _, grad = margin_loss_batch(activations, [1])
+        _, grad = margin_loss_batch(activations, [1], TrainConfig())
 
         flat = activations.reshape(-1)
 
         def f(p):
-            return margin_loss_batch(p.reshape(1, 2, 3), [1])[0]
+            return margin_loss_batch(p.reshape(1, 2, 3), [1], TrainConfig())[0]
 
         report = finite_difference_check(f, flat, grad.reshape(-1), epsilon=1e-6)
         assert report.max_relative_error < 1e-6
@@ -254,6 +255,17 @@ class TestCheckFloat:
         pattern = f"rate must lie in {interval}, got {re.escape(repr(value))}"
         with pytest.raises(ValueError, match=pattern):
             check_float(value, "rate", high, positive)
+
+    # float() of such an int raises OverflowError; of such a long double, gives inf
+    @pytest.mark.parametrize(
+        "value",
+        [10**400, -(10**400), 2**1024, np.longdouble("1e400")],
+        ids=["10**400", "-10**400", "2**1024", "longdouble-1e400"],
+    )
+    def test_beyond_float_range_refused(self, value):
+        pattern = r"rate must lie in \[0, inf\), got " + re.escape(repr(value))
+        with pytest.raises(ValueError, match=pattern):
+            check_float(value, "rate")
 
     @pytest.mark.parametrize(
         "value, high, positive",

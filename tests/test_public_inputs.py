@@ -3,9 +3,10 @@ naming the input.
 
 One row per (callable, malformed input): a float or ``True`` where an
 integer or a seed goes, a coordinate array that is not integer (m, 2)
-pixels inside the cube, an empty batch, labels that are not whole numbers,
-or a string, ``True``, NaN or an infinity where a float setting goes.  Every
-input is fixed, so the table runs the same way each time.  Passing some
+pixels inside the cube, an empty batch, labels that are not whole numbers
+in the cube file's u16 range, or a string, ``True``, NaN, an infinity or an
+integer past the float64 range where a float setting goes.  Every input is
+fixed, so the table runs the same way each time.  Passing some
 other object where one of the package's own dataclasses goes is out of
 scope, and so are the callables that take nothing else.
 """
@@ -24,6 +25,7 @@ PARAMS = layers.init_params(ARCH, 0)
 PATCHES = np.zeros((2, ARCH.patch_size, ARCH.patch_size, ARCH.channels))
 CACHE = layers.forward_batch(PARAMS, PATCHES, keep_cache=True)[1]
 EMPTY_SPLIT = data.SplitAssignment({}, (0.3, 0.3), 0)
+MARGINS = training.TrainConfig()
 NAN = float("nan")
 
 
@@ -82,6 +84,8 @@ ROWS = [
     row(data.HsiCube, "labels-shape", np.zeros((4, 4, 2)), np.zeros((4, 3)), match="labels"),
     row(data.HsiCube, "labels-fraction", np.zeros((1, 1, 1)), [[1.5]], match="labels"),
     row(data.HsiCube, "labels-nan", np.zeros((1, 1, 1)), [[NAN]], match="labels"),
+    row(data.HsiCube, "labels-huge", np.zeros((1, 1, 1)), [[2**40]], match="labels"),
+    row(data.HsiCube, "labels-huge-float", np.zeros((1, 1, 1)), [[2.0**40]], match="labels"),
     row(Architecture, "channels-float", channels=10.5, match="channels"),
     row(Architecture, "num_classes-float", num_classes=2.5, match="num_classes"),
     row(Architecture, "patch_size-True", patch_size=True, match="patch_size"),
@@ -100,15 +104,11 @@ ROWS = [
     row(forward, "empty", PARAMS, PATCHES[:0], match="patches"),
     row(forward, "shape", PARAMS, PATCHES[..., :3], match="patches"),
     row(layers.backward_batch, "upstream-shape", PARAMS, CACHE, np.ones(2), match="upstream"),
-    row(loss, "empty", np.zeros((0, 3, 4)), np.zeros(0, int), match="activations"),
-    row(loss, "ids-float", np.ones((1, 3, 4)), [1.5], match="class ids"),
+    row(loss, "empty", np.zeros((0, 3, 4)), np.zeros(0, int), MARGINS, match="activations"),
+    row(loss, "ids-float", np.ones((1, 3, 4)), [1.5], MARGINS, match="class ids"),
     row(metrics.ConfusionMatrix, "num_classes-float", 2.5, match="num_classes"),
     row(metrics.ConfusionMatrix, "num_classes-True", True, match="num_classes"),
     row(metrics.ConfusionMatrix(3).accumulate_many, "ids-float", [1.9], [1], match="class ids"),
-    row(metrics.MarginConfig, "positive_margin-nan", positive_margin=NAN, match="positive_margin"),
-    row(metrics.MarginConfig, "positive_margin-str", positive_margin="x", match="positive_margin"),
-    row(metrics.MarginConfig, "negative_margin-nan", negative_margin=NAN, match="negative_margin"),
-    row(metrics.MarginConfig, "negative_weight-nan", negative_weight=NAN, match="negative_weight"),
     row(training.TrainConfig, "epochs-float", epochs=2.5, match="epochs"),
     row(training.TrainConfig, "batch_size-True", batch_size=True, match="batch_size"),
     row(training.TrainConfig, "routing_iters-float", routing_iters=2.5, match="routing_iters"),
@@ -119,6 +119,11 @@ ROWS = [
     row(training.TrainConfig, "adam_beta1-nan", adam_beta1=NAN, match="beta"),
     row(training.TrainConfig, "adam_beta2-nan", adam_beta2=NAN, match="beta"),
     row(training.TrainConfig, "adam_eps-nan", adam_eps=NAN, match="adam_eps"),
+    row(training.TrainConfig, "learning_rate-huge", learning_rate=10**400, match="learning_rate"),
+    row(training.TrainConfig, "margin_upper-nan", margin_upper=NAN, match="margin_upper"),
+    row(training.TrainConfig, "margin_upper-str", margin_upper="x", match="margin_upper"),
+    row(training.TrainConfig, "margin_lower-nan", margin_lower=NAN, match="margin_lower"),
+    row(training.TrainConfig, "margin_weight-nan", margin_weight=NAN, match="margin_weight"),
     row(predict, "coords-float", PARAMS, CUBE, [[1.5, 2.0]], match="coords"),
     row(predict, "coords-flat", PARAMS, CUBE, FLAT, match="coords"),
     row(predict, "coords-outside", PARAMS, CUBE, [[0, 8]], match="coords"),

@@ -26,7 +26,6 @@ from hsicaps.layers import (
     init_params,
     predict_classes,
 )
-from hsicaps.metrics import MarginConfig
 from hsicaps.training import (
     AdamState,
     TrainConfig,
@@ -65,7 +64,7 @@ class TestTrainConfig:
         assert config.learning_rate == 0.01
         assert config.batch_size == 64
         assert config.routing_iters == 3
-        assert config.margin.positive_margin == 0.9
+        assert config.margin_upper == 0.9
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -386,8 +385,7 @@ class TestTrain:
         cube = make_synthetic_cube(64, 32, 24, 16, seed=0)
         split = stratified_split(cube, (0.2, 0.1), seed=0)
         arch = dataclasses.replace(MINIATURE_ARCHITECTURE, num_classes=16)
-        margin = MarginConfig(negative_weight=1e306)
-        config = TrainConfig(epochs=1, batch_size=256, margin=margin)
+        config = TrainConfig(epochs=1, batch_size=256, margin_weight=1e306)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged) as info:
