@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 import warnings
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
@@ -39,8 +40,11 @@ __all__ = [
 ]
 
 # Bytes of float64 pixel rows per chunk, to stay in L2.  Load, fit and apply at
-# 145 x 145 x 200, three medians of 15 (ms): 256 KiB 118-127, 512 KiB 107-120,
-# 1 MiB 104-116, 2 MiB 112-120, 4 MiB 111-119 (two vCPUs, 4 MiB L2 each).
+# 145 x 145 x 200, medians of 20 interleaved in one process (ms): 256 KiB 152,
+# 512 KiB 149, 1 MiB 144, 2 MiB 148, 4 MiB 148 (two vCPUs, one BLAS thread).
+# The fit adds each chunk's sums in row order as they arrive: its traced
+# allocations peaked at 3.5-5.1 MiB, against 11.5-11.8 MiB with every chunk's
+# 320 KiB Gram matrix kept to the end, at the same speed.
 _CHUNK_BYTES = 2**20
 
 CUBE_MAGIC = b"HSIC"
@@ -63,8 +67,8 @@ class CubeFormatError(ValueError):
 @dataclass
 class HsiCube:
     """A hyperspectral scene: ``values`` is (height, width, channels) float64
-    reflectance, ``labels`` is (height, width) int32 with 0 = unlabeled
-    background and class ids counted from 1."""
+    reflectance, ``labels`` is a read-only (height, width) int32 copy with
+    0 = unlabeled background and class ids counted from 1."""
 
     values: np.ndarray
     labels: np.ndarray
@@ -78,7 +82,8 @@ class HsiCube:
             (labels >= 0) & (labels <= 65535) & (labels == np.trunc(labels))
         ).all():
             raise ValueError("labels must be whole numbers in [0, 65535]")
-        self.labels = labels.astype(np.int32, copy=False)
+        self.labels = labels.astype(np.int32)  # read-only: a write would skip the check
+        self.labels.flags.writeable = False
         if self.values.ndim != 3:
             raise ValueError(f"values must be (H, W, C), got shape {self.values.shape}")
         if self.labels.shape != self.values.shape[:2]:
@@ -197,24 +202,32 @@ def save_cube(cube: HsiCube, path: str) -> None:
     write_atomic(path, chunks)
 
 
-def _row_chunks(body: Callable, source: np.ndarray) -> tuple[np.ndarray, list]:
-    """A float64 array like the 2-D ``source``, filled by ``body(source_rows,
-    out_rows)``, and body's results in row order.  Over two chunks, this thread
-    and the worker take chunks from one iterator: a busy core holds up one."""
-    out = np.empty(source.shape)
-    rows, step = len(source), max(2, _CHUNK_BYTES // (8 * source.shape[1]))
+def _row_chunks(body: Callable, *arrays: np.ndarray):
+    """The sum of ``body(*rows)`` over chunks of pixel rows, ``rows`` being the same
+    rows of each 2-D array, cut by the first's shape.  Over two chunks, this thread
+    and the worker take chunks from one iterator: a busy core holds up one.  Results
+    are added in row order as they arrive, so only those that finished ahead of an
+    earlier chunk wait, and ``None`` results sum to ``None``."""
+    rows, step = len(arrays[0]), max(2, _CHUNK_BYTES // (8 * arrays[0].shape[1]))
     # numpy multiplies one row as a matrix-vector product, which rounds
     # differently, so a last chunk of one row joins the chunk before it
     cuts = [*range(0, max(1, rows - 1), step), rows]
-    results = [None] * (len(cuts) - 1)
     pending = iter(enumerate(zip(cuts, cuts[1:])))  # next() is atomic under the GIL
+    held, lock, total, added = {}, threading.Lock(), None, 0
 
     def drain() -> None:
+        nonlocal total, added
         for i, (start, stop) in pending:
-            results[i] = body(source[start:stop], out[start:stop])
+            result = body(*(array[start:stop] for array in arrays))
+            with lock:
+                held[i] = result
+                while added in held:
+                    result = held.pop(added)
+                    total = result if total is None else total + result
+                    added += 1
 
-    run_pieces(drain, [()] * (1 + (len(results) > 2)))
-    return out, results
+    run_pieces(drain, [()] * (1 + (len(cuts) > 3)))
+    return total
 
 
 def load_cube(path: str) -> HsiCube:
@@ -262,24 +275,23 @@ def load_cube(path: str) -> HsiCube:
     )
 
     def widen(chunk: np.ndarray, out: np.ndarray) -> bool:
+        """Whether ``chunk`` holds a non-finite value, else copy it to ``out``."""
         # checked on the float32 view first: casting a signalling NaN would warn
         if finite := bool(np.isfinite(chunk).all()):
             out[...] = chunk
-        return finite
+        return not finite
 
-    values, finite_rows = _row_chunks(widen, stored.reshape(n_pixels, channels))
-    if not all(finite_rows):
+    values = np.empty((n_pixels, channels))
+    if _row_chunks(widen, stored.reshape(n_pixels, channels), values):
         first = int(np.argmin(np.isfinite(stored)))
         raise CubeFormatError(
             f"non-finite value {stored[first]} at value index {first}",
             _HEADER.size + 4 * first,
         )
     if has_labels:
-        labels = (
-            np.frombuffer(data, dtype="<u2", count=n_pixels, offset=_HEADER.size + values_bytes)
-            .reshape(height, width)
-            .astype(np.int32)
-        )
+        labels = np.frombuffer(
+            data, dtype="<u2", count=n_pixels, offset=_HEADER.size + values_bytes
+        ).reshape(height, width)
     else:
         labels = np.zeros((height, width), dtype=np.int32)
     return HsiCube(values.reshape(height, width, channels), labels)
@@ -306,10 +318,10 @@ class WhiteningTransform:
 def fit_whitening(cube: HsiCube, epsilon: float = 1e-5) -> WhiteningTransform:
     """Fit the whitening transform on every pixel of the cube.
 
-    The covariance is the population estimate (normalized by the pixel count,
-    not by count - 1).  ``epsilon`` regularizes near-zero eigenvalues; with
-    ``epsilon`` far below the smallest eigenvalue the transformed population
-    covariance is the identity.
+    The covariance is the population estimate (normalized by the pixel count, not
+    by count - 1); it and the mean are row-chunk sums added in row order (README,
+    Determinism).  ``epsilon`` regularizes near-zero eigenvalues; with ``epsilon``
+    far below the smallest eigenvalue the transformed population covariance is the identity.
     """
     epsilon = check_float(epsilon, "epsilon", positive=True)
     pixels = cube.values.reshape(-1, cube.channels)
@@ -318,13 +330,17 @@ def fit_whitening(cube: HsiCube, epsilon: float = 1e-5) -> WhiteningTransform:
             f"need at least channels + 1 = {cube.channels + 1} pixels to fit, "
             f"got {pixels.shape[0]}"
         )
-    # any non-finite pixel makes its channel's mean non-finite, without a warning
+    # any non-finite pixel makes its channel's sum non-finite, without a warning
     with np.errstate(invalid="ignore"):
-        mean = pixels.mean(axis=0)
+        mean = _row_chunks(lambda rows: rows.sum(axis=0), pixels) / len(pixels)
     if not np.isfinite(mean).all():
         raise ValueError("non-finite values in cube")
-    centered, _ = _row_chunks(lambda chunk, out: np.subtract(chunk, mean, out=out), pixels)
-    cov = centered.T @ centered / pixels.shape[0]
+
+    def gram(rows: np.ndarray) -> np.ndarray:
+        centered = rows - mean
+        return centered.T @ centered
+
+    cov = _row_chunks(gram, pixels) / len(pixels)
     eigvals, basis = np.linalg.eigh(cov)
     # order components by descending eigenvalue so later channel truncation
     # (valid-padding convolutions never reach the last few positions) costs
@@ -347,20 +363,21 @@ def _fitted_pixels(cube: HsiCube, transform: WhiteningTransform) -> np.ndarray:
 def apply_whitening(cube: HsiCube, transform: WhiteningTransform) -> HsiCube:
     """Whiten every pixel spectrum; labels are carried over unchanged."""
     pixels = _fitted_pixels(cube, transform)
+    scaled_basis = transform.basis * transform.inv_sqrt_eigs
 
-    def whiten(chunk: np.ndarray, out: np.ndarray) -> None:
-        np.matmul(chunk - transform.mean, transform.basis, out=out)
-        out *= transform.inv_sqrt_eigs
+    def whiten(rows: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(rows - transform.mean, scaled_basis, out=out)
 
-    whitened, _ = _row_chunks(whiten, pixels)
-    return HsiCube(whitened.reshape(cube.values.shape), cube.labels.copy())
+    whitened = np.empty(pixels.shape)
+    _row_chunks(whiten, pixels, whitened)
+    return HsiCube(whitened.reshape(cube.values.shape), cube.labels)
 
 
 def invert_whitening(cube: HsiCube, transform: WhiteningTransform) -> HsiCube:
     """Undo :func:`apply_whitening` (exact up to rounding)."""
     pixels = _fitted_pixels(cube, transform)
     restored = (pixels / transform.inv_sqrt_eigs) @ transform.basis.T + transform.mean
-    return HsiCube(restored.reshape(cube.values.shape), cube.labels.copy())
+    return HsiCube(restored.reshape(cube.values.shape), cube.labels)
 
 
 def reflect_index(index: np.ndarray | int, size: int) -> np.ndarray:

@@ -435,9 +435,14 @@ def _class_forward(
     weighted = total / classes
     parents = squash(weighted)
     cache = [(coupling, weighted, parents)] if keep else []
-    for _ in range(1, iterations):
-        coupling = np.empty_like(logits)
-        weighted = np.zeros_like(weighted)
+    if keep:
+        # claimed at once, so too deep a routing raises MemoryError here: numpy
+        # 2.4.6 crashes when a broadcasting loop without the GIL cannot allocate
+        couplings = np.empty((iterations - 1, *coupling.shape))
+        sums = np.zeros((iterations - 1, *weighted.shape))
+    for i in range(1, iterations):
+        coupling = couplings[i - 1] if keep else np.empty_like(logits)
+        weighted = sums[i - 1] if keep else np.zeros_like(weighted)
         for block in blocks:
             view = _by_class(predictions[:, block])
             updated = logits[:, :, block] + _agree(view, parents)

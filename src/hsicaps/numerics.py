@@ -31,9 +31,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 def relu_grad(pre_activation: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Gate ``upstream`` by the ReLU derivative taken at ``pre_activation``.
 
-    The derivative at exactly zero is taken as zero.
+    The derivative at exactly zero is taken as zero.  A non-finite ``upstream``
+    gives NaN even where the gate is closed, so ``backward_batch`` refuses it.
     """
-    return np.where(pre_activation > 0, upstream, 0.0)
+    return upstream * (pre_activation > 0)
 
 
 def check_int(value, name: str, low: float = 1) -> int:

@@ -26,7 +26,8 @@ from .layers import (
     predict_classes,
 )
 from .metrics import ConfusionMatrix, margin_loss_batch
-from .numerics import GradCheckReport, check_float, check_int, check_seed, finite_difference_check
+from .numerics import GradCheckReport, check_float, check_int, check_seed, run_pieces
+from .numerics import finite_difference_check
 
 __all__ = [
     "TrainConfig",
@@ -73,6 +74,11 @@ class TrainConfig:
             )
 
 
+# Model size from which adam_step runs on two threads: on two vCPUs a call took
+# 5.4-5.9 ms split against 11.6-12.2 at 200 / 16 (368,208 parameters), 1.5 either way at 103 / 9.
+_ADAM_SPLIT_FLOOR = 2**17
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates per parameter array plus the step count."""
@@ -105,26 +111,37 @@ def adam_step(
 
     A zero gradient with fresh state leaves the parameters untouched.  A
     second moment or an update that is not finite raises FloatingPointError
-    naming its array.
+    naming its array.  From ``_ADAM_SPLIT_FLOOR`` parameters on, the worker
+    thread updates the second half of ``class_matrices`` and this thread the
+    rest; the update is elementwise, so the cut changes no bit.
     """
     state.step += 1
     t = state.step
     bias1 = 1.0 - beta1**t
     bias2 = 1.0 - beta2**t
+
+    def piece(parts: list[tuple]) -> None:
+        for name, arr, grad, m, v in parts:
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            # a gradient past about 1e154 overflows v and zeroes its update: refused below
+            with np.errstate(over="ignore"):
+                v += (1.0 - beta2) * grad * grad
+            update = learning_rate * (m / bias1) / (np.sqrt(v / bias2) + eps)
+            if not (np.isfinite(update).all() and np.isfinite(v).all()):
+                raise FloatingPointError(f"non-finite Adam update for {name}")
+            arr -= update
+
+    split = params.size() >= _ADAM_SPLIT_FLOOR
+    pieces: list[list[tuple]] = [[], []]
     for name, arr in params.arrays():
-        grad = grads[name]
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        # a gradient past about 1e154 overflows v and zeroes its update: refused below
-        with np.errstate(over="ignore"):
-            v += (1.0 - beta2) * grad * grad
-        update = learning_rate * (m / bias1) / (np.sqrt(v / bias2) + eps)
-        if not (np.isfinite(update).all() and np.isfinite(v).all()):
-            raise FloatingPointError(f"non-finite Adam update for {name}")
-        arr -= update
+        arrays = (arr, grads[name], state.first_moment[name], state.second_moment[name])
+        cut = len(arr) // 2 if split and name == "class_matrices" else len(arr)
+        pieces[0].append((name, *(a[:cut] for a in arrays)))
+        if cut < len(arr):
+            pieces[1].append((name, *(a[cut:] for a in arrays)))
+    run_pieces(piece, [(parts,) for parts in pieces if parts])
     return params, state
 
 

@@ -875,7 +875,8 @@ def subprocess_env():
 
 def run_capped(argv, cap_bytes, cwd):
     """``hsicaps ARGV`` in a fresh interpreter whose address space is capped
-    at ``cap_bytes``; the cap applies to that process alone."""
+    at ``cap_bytes``; the cap applies to that process alone.  A crash in the
+    child prints its Python stack to the captured stderr."""
     script = (
         "import resource, sys\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({cap_bytes}, {cap_bytes}))\n"
@@ -883,7 +884,7 @@ def run_capped(argv, cap_bytes, cwd):
         f"sys.exit(main({argv!r}))\n"
     )
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-X", "faulthandler", "-c", script],
         cwd=cwd,
         env=subprocess_env(),
         capture_output=True,

@@ -1,10 +1,13 @@
 """Cube container, file format, whitening, patches, and splits."""
 
+import functools
 import multiprocessing
+import operator
 import struct
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -61,6 +64,15 @@ class TestHsiCube:
         assert cube.num_classes() == 2
         np.testing.assert_array_equal(cube.labeled_coords(1), [[0, 1], [1, 1]])
 
+    def test_labels_cannot_change_after_the_check(self):
+        # a write past the u16 range would otherwise be saved wrapped
+        labels = np.array([[0, 1]], dtype=np.int32)
+        cube = HsiCube(np.zeros((1, 2, 3)), labels)
+        with pytest.raises(ValueError, match="read-only"):
+            cube.labels[0, 1] = 70000
+        labels[0, 1] = 2  # the caller's array stays the caller's
+        assert cube.labels.tolist() == [[0, 1]]
+
 
 class TestCubeFile:
     def test_round_trip(self, tmp_path):
@@ -101,6 +113,13 @@ class TestCubeFile:
             load_cube(str(path))
         assert err.value.offset == 0
         assert "magic" in str(err.value)
+
+    def test_truncated_header_reports_offset(self, tmp_path):
+        path = tmp_path / "short.hsic"
+        path.write_bytes(b"HSIC\x01\x00")
+        with pytest.raises(CubeFormatError, match="truncated header: 6 bytes, need 18") as err:
+            load_cube(str(path))
+        assert err.value.offset == 6
 
     def test_truncated_payload_reports_offset(self, tmp_path):
         cube = random_cube()
@@ -259,6 +278,11 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def in_row_order(parts):
+    """The parts added left to right, as the row-chunk sums are."""
+    return functools.reduce(operator.add, parts)
+
+
 def _whiten(cube):
     apply_whitening(cube, fit_whitening(cube))
 
@@ -275,26 +299,47 @@ class TestRowChunks:
     def test_chunks_match_the_single_call_formulas(self, tmp_path, monkeypatch, height, threads):
         path = tmp_path / "c.hsic"
         save_cube(random_cube(height, height=height, width=5, channels=6), str(path))
-        calls = record_pieces(monkeypatch)
-        shrink_row_chunks(7, 6, monkeypatch)
-        loaded = load_cube(str(path))
-        transform = fit_whitening(loaded, 1e-5)
-        whitened = apply_whitening(loaded, transform)
-        assert calls == [threads] * 3
-
         stored = np.frombuffer(path.read_bytes(), "<f4", count=height * 5 * 6, offset=18)
         pixels = stored.astype(np.float64).reshape(-1, 6)
-        mean = pixels.mean(axis=0)
-        centered = pixels - mean
-        eigvals, basis = np.linalg.eigh(centered.T @ centered / len(pixels))
+        # the documented formulas: per-chunk sums and centered Grams, added in
+        # row order over the 7-row chunks
+        cuts = [*range(0, max(1, len(pixels) - 1), 7), len(pixels)]
+        chunks = [pixels[a:b] for a, b in zip(cuts, cuts[1:])]
+        mean = in_row_order(chunk.sum(axis=0) for chunk in chunks) / len(pixels)
+        centered = [chunk - mean for chunk in chunks]
+        cov = in_row_order(c.T @ c for c in centered) / len(pixels)
+        eigvals, basis = np.linalg.eigh(cov)
         basis = basis[:, ::-1]
         inv_sqrt_eigs = 1.0 / np.sqrt(np.clip(eigvals[::-1], 0.0, None) + 1e-5)
-        assert same_bytes(loaded.values.reshape(-1, 6), pixels)
-        assert same_bytes(transform.mean, mean)
-        assert same_bytes(transform.basis, basis)
-        assert same_bytes(transform.inv_sqrt_eigs, inv_sqrt_eigs)
-        expected = ((pixels - mean) @ basis) * inv_sqrt_eigs
-        assert same_bytes(whitened.values.reshape(-1, 6), expected)
+        expected = (pixels - mean) @ (basis * inv_sqrt_eigs)
+
+        # the worker taking every chunk first changes no byte
+        for worker_first in (False, True):
+            with monkeypatch.context() as patch:
+                calls = record_pieces(patch, worker_first)
+                shrink_row_chunks(7, 6, patch)
+                loaded = load_cube(str(path))
+                transform = fit_whitening(loaded, 1e-5)
+                whitened = apply_whitening(loaded, transform)
+            # load, the sums, the Grams and apply
+            assert calls == [threads] * 4
+            assert same_bytes(loaded.values.reshape(-1, 6), pixels)
+            assert same_bytes(transform.mean, mean)
+            assert same_bytes(transform.basis, basis)
+            assert same_bytes(transform.inv_sqrt_eigs, inv_sqrt_eigs)
+            assert same_bytes(whitened.values.reshape(-1, 6), expected)
+
+    def test_fit_allocates_no_copy_of_the_cube(self):
+        # 6.4 MB of float64 in 7 chunks of 1 MiB: each thread holds one
+        # centered chunk at a time
+        cube = random_cube(height=400, width=100, channels=20)
+        tracemalloc.start()
+        try:
+            fit_whitening(cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cube.values.nbytes / 2
 
     @pytest.mark.parametrize("kind", ["quiet_nan", "signalling_nan"])
     def test_nan_in_a_worker_chunk(self, tmp_path, monkeypatch, kind):
@@ -325,7 +370,7 @@ class TestRowChunks:
     def test_chunk_error_arrives_after_the_worker_chunk_ends(self, monkeypatch, failing):
         started, ended = threading.Event(), []
 
-        def body(chunk, out):
+        def body(chunk):
             if threading.current_thread().name.startswith("hsicaps-half"):
                 started.set()
                 time.sleep(0.1)
@@ -352,13 +397,15 @@ class TestRowChunks:
         outputs, taken = {}, {k: [] for k in range(1, 5)}
 
         def call(k):
-            def body(chunk, out):
-                np.multiply(chunk, k, out=out)
+            out = np.empty_like(source)
+
+            def body(chunk, out_rows):
+                np.multiply(chunk, k, out=out_rows)
                 start = int(chunk[0, 0]) // 3
                 taken[k].append(start)
-                return start
+                return [start]  # lists add up to the starts in row order
 
-            outputs[k] = hsicaps.data._row_chunks(body, source)
+            outputs[k] = out, hsicaps.data._row_chunks(body, source, out)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

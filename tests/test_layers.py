@@ -590,6 +590,26 @@ class TestModelEngine:
         with pytest.raises(FloatingPointError, match="non-finite gradient for window_tensors"):
             backward_batch(params, cache, np.ones((2, 3, 4)))
 
+    def test_non_finite_gradient_at_a_closed_relu_raises(self, monkeypatch):
+        # map 5's ReLU gate is closed everywhere, yet an infinite gradient
+        # reaching it is not masked: it turns into NaN and is refused
+        params = miniature_params(1)
+        params.primary_bias[5] = -1e3
+        _, cache = forward_batch(params, self.random_patches(3, seed=2), keep_cache=True)
+        gate = hsicaps.layers.relu_grad
+
+        def infinite_map_5(pre, upstream):
+            if pre is cache.pieces[0].pre_primary:
+                upstream = upstream.copy()
+                upstream[5] = np.inf
+            return gate(pre, upstream)
+
+        monkeypatch.setattr(hsicaps.layers, "relu_grad", infinite_map_5)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite gradient"
+        ):
+            backward_batch(params, cache, np.ones((3, 3, 4)))
+
     def test_dead_feature_map_gets_no_gradient(self):
         params = miniature_params(1)
         params.primary_bias[5] = -1e3  # relu output of map 5 is always zero

@@ -63,6 +63,13 @@ class TestRelu:
             relu_grad(pre, upstream), np.array([0.0, 0.0, 5.0])
         )
 
+    def test_grad_does_not_mask_a_non_finite_upstream(self):
+        pre = np.array([-2.0, 0.0, 3.0, -1.0])
+        upstream = np.array([np.inf, np.nan, 5.0, -4.0])
+        with np.errstate(invalid="ignore"):
+            gated = relu_grad(pre, upstream)
+        np.testing.assert_array_equal(gated, [np.nan, np.nan, 5.0, 0.0])
+
 
 class TestConv1dValid:
     """The output-length law and the primary layer's spectral convolution."""

@@ -191,6 +191,56 @@ class TestAdam:
             adam_step(params, grads, AdamState.for_params(params), 0.01)
 
 
+    @staticmethod
+    def count_pieces(monkeypatch):
+        run_pieces, calls = hsicaps.training.run_pieces, []
+
+        def recording(body, piece_args):
+            calls.append(len(piece_args))
+            return run_pieces(body, piece_args)
+
+        monkeypatch.setattr(hsicaps.training, "run_pieces", recording)
+        return calls
+
+    def test_split_update_matches_one_thread_arithmetic(self, monkeypatch):
+        # 200 channels / 16 classes is above the floor: the worker updates the
+        # second half of class_matrices and this thread the rest
+        params = init_params(Architecture(channels=200, num_classes=16), 0)
+        expected = {name: arr.copy() for name, arr in params.arrays()}
+        m = {name: np.zeros_like(arr) for name, arr in params.arrays()}
+        v = {name: np.zeros_like(arr) for name, arr in params.arrays()}
+        state = AdamState.for_params(params)
+        calls = self.count_pieces(monkeypatch)
+        rng = np.random.default_rng(0)
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=arr.shape) for name, arr in params.arrays()}
+            adam_step(params, grads, state, 0.01)
+            for name, g in grads.items():
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+                expected[name] -= (
+                    0.01 * (m[name] / (1.0 - 0.9**t)) / (np.sqrt(v[name] / (1.0 - 0.999**t)) + 1e-8)
+                )
+        assert calls == [2] * 5
+        for name, arr in params.arrays():
+            assert arr.tobytes() == expected[name].tobytes(), name
+
+    def test_small_model_updates_on_one_thread(self, monkeypatch):
+        calls = self.count_pieces(monkeypatch)
+        params = miniature_params(7)
+        adam_step(params, constant_grads(params, 1.0), AdamState.for_params(params), 0.01)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("name", ["spatial_kernels", "class_matrices"])
+    def test_overflow_in_either_piece_raises(self, name):
+        # the last class_matrices value lies in the worker's half
+        params = init_params(Architecture(channels=200, num_classes=16), 0)
+        grads = constant_grads(params, 1.0)
+        grads[name].reshape(-1)[-1] = 1e160
+        with pytest.raises(FloatingPointError, match=name):
+            adam_step(params, grads, AdamState.for_params(params), 0.01)
+
+
 class TestTrainRecord:
     def test_tsv_round_trips(self):
         record = TrainRecord([0.5, 0.25], [0.7, 0.9], 2, 0.9, 14)
