@@ -226,12 +226,15 @@ def load_palette(path: str) -> dict[int, tuple[int, int, int]]:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"palette line {lineno}: expected 'id r g b', got {raw!r}")
-        cid, r, g, b = (int(p) for p in parts)
-        check_int(cid, f"palette line {lineno}: class id")
-        if not all(0 <= v <= 255 for v in (r, g, b)):
-            raise ValueError(f"palette line {lineno}: color values must be in [0, 255]")
+        try:
+            if len(parts) != 4:
+                raise ValueError(f"expected 'id r g b', got {raw!r}")
+            cid, r, g, b = (int(p) for p in parts)
+            check_int(cid, "class id")
+            if not all(0 <= v <= 255 for v in (r, g, b)):
+                raise ValueError("color values must be in [0, 255]")
+        except ValueError as exc:
+            raise ValueError(f"palette line {lineno}: {exc}") from exc
         palette[cid] = (r, g, b)
     return palette
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 import warnings
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import check_float, check_int, check_seed, run_pieces
+from .numerics import check_float, check_int, check_seed, row_chunks
 
 __all__ = [
     "CubeFormatError",
@@ -38,14 +37,6 @@ __all__ = [
     "save_cube",
     "stratified_split",
 ]
-
-# Bytes of float64 pixel rows per chunk, to stay in L2.  Load, fit and apply at
-# 145 x 145 x 200, medians of 20 interleaved in one process (ms): 256 KiB 152,
-# 512 KiB 149, 1 MiB 144, 2 MiB 148, 4 MiB 148 (two vCPUs, one BLAS thread).
-# The fit adds each chunk's sums in row order as they arrive: its traced
-# allocations peaked at 3.5-5.1 MiB, against 11.5-11.8 MiB with every chunk's
-# 320 KiB Gram matrix kept to the end, at the same speed.
-_CHUNK_BYTES = 2**20
 
 CUBE_MAGIC = b"HSIC"
 CUBE_VERSION = 1
@@ -202,34 +193,6 @@ def save_cube(cube: HsiCube, path: str) -> None:
     write_atomic(path, chunks)
 
 
-def _row_chunks(body: Callable, *arrays: np.ndarray):
-    """The sum of ``body(*rows)`` over chunks of pixel rows, ``rows`` being the same
-    rows of each 2-D array, cut by the first's shape.  Over two chunks, this thread
-    and the worker take chunks from one iterator: a busy core holds up one.  Results
-    are added in row order as they arrive, so only those that finished ahead of an
-    earlier chunk wait, and ``None`` results sum to ``None``."""
-    rows, step = len(arrays[0]), max(2, _CHUNK_BYTES // (8 * arrays[0].shape[1]))
-    # numpy multiplies one row as a matrix-vector product, which rounds
-    # differently, so a last chunk of one row joins the chunk before it
-    cuts = [*range(0, max(1, rows - 1), step), rows]
-    pending = iter(enumerate(zip(cuts, cuts[1:])))  # next() is atomic under the GIL
-    held, lock, total, added = {}, threading.Lock(), None, 0
-
-    def drain() -> None:
-        nonlocal total, added
-        for i, (start, stop) in pending:
-            result = body(*(array[start:stop] for array in arrays))
-            with lock:
-                held[i] = result
-                while added in held:
-                    result = held.pop(added)
-                    total = result if total is None else total + result
-                    added += 1
-
-    run_pieces(drain, [()] * (1 + (len(cuts) > 3)))
-    return total
-
-
 def load_cube(path: str) -> HsiCube:
     """Read a cube from the binary container.
 
@@ -282,7 +245,7 @@ def load_cube(path: str) -> HsiCube:
         return not finite
 
     values = np.empty((n_pixels, channels))
-    if _row_chunks(widen, stored.reshape(n_pixels, channels), values):
+    if row_chunks(widen, stored.reshape(n_pixels, channels), values):
         first = int(np.argmin(np.isfinite(stored)))
         raise CubeFormatError(
             f"non-finite value {stored[first]} at value index {first}",
@@ -332,7 +295,7 @@ def fit_whitening(cube: HsiCube, epsilon: float = 1e-5) -> WhiteningTransform:
         )
     # any non-finite pixel makes its channel's sum non-finite, without a warning
     with np.errstate(invalid="ignore"):
-        mean = _row_chunks(lambda rows: rows.sum(axis=0), pixels) / len(pixels)
+        mean = row_chunks(lambda rows: rows.sum(axis=0), pixels) / len(pixels)
     if not np.isfinite(mean).all():
         raise ValueError("non-finite values in cube")
 
@@ -340,7 +303,7 @@ def fit_whitening(cube: HsiCube, epsilon: float = 1e-5) -> WhiteningTransform:
         centered = rows - mean
         return centered.T @ centered
 
-    cov = _row_chunks(gram, pixels) / len(pixels)
+    cov = row_chunks(gram, pixels) / len(pixels)
     eigvals, basis = np.linalg.eigh(cov)
     # order components by descending eigenvalue so later channel truncation
     # (valid-padding convolutions never reach the last few positions) costs
@@ -369,7 +332,7 @@ def apply_whitening(cube: HsiCube, transform: WhiteningTransform) -> HsiCube:
         np.matmul(rows - transform.mean, scaled_basis, out=out)
 
     whitened = np.empty(pixels.shape)
-    _row_chunks(whiten, pixels, whitened)
+    row_chunks(whiten, pixels, whitened)
     return HsiCube(whitened.reshape(cube.values.shape), cube.labels)
 
 

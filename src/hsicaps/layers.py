@@ -197,7 +197,7 @@ PARAM_GROUPS = {name: spec.group for name, spec in _PARAM_TABLE.items()}
 
 @dataclass
 class ModelParams:
-    """All trainable arrays, float64, shaped by an :class:`Architecture`.
+    """All trainable arrays, C-contiguous float64, shaped by an :class:`Architecture`.
 
     ``window_tensors`` is indexed (array, out_dim, window_offset, child_array,
     child_dim) and is shared across window positions; ``class_matrices`` is
@@ -216,7 +216,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name, expected in self.expected_shapes(self.arch).items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if arr.shape != expected:
                 raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
             setattr(self, name, arr)

@@ -10,6 +10,7 @@ run bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .layers import (
     predict_classes,
 )
 from .metrics import ConfusionMatrix, margin_loss_batch
-from .numerics import GradCheckReport, check_float, check_int, check_seed, run_pieces
+from .numerics import GradCheckReport, check_float, check_int, check_seed, row_chunks
 from .numerics import finite_difference_check
 
 __all__ = [
@@ -39,10 +40,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings, the margin loss's (``metrics.margin_loss_batch``)
-    last; the defaults are the reference recipe."""
+    last; the defaults are the reference recipe.  Frozen, so no value skips its check."""
 
     epochs: int = 50
     learning_rate: float = 0.01
@@ -57,26 +58,25 @@ class TrainConfig:
     margin_weight: float = 0.5
 
     def __post_init__(self) -> None:
-        self.epochs = check_int(self.epochs, "epochs")
-        self.batch_size = check_int(self.batch_size, "batch_size")
-        self.routing_iters = check_int(self.routing_iters, "routing_iters")
-        self.learning_rate = check_float(self.learning_rate, "learning_rate")
-        self.adam_beta1 = check_float(self.adam_beta1, "adam_beta1", high=1)
-        self.adam_beta2 = check_float(self.adam_beta2, "adam_beta2", high=1)
-        self.adam_eps = check_float(self.adam_eps, "adam_eps", positive=True)
-        self.seed = check_seed(self.seed)
-        self.margin_upper = check_float(self.margin_upper, "margin_upper", high=1, positive=True)
-        self.margin_lower = check_float(self.margin_lower, "margin_lower", high=1, positive=True)
-        self.margin_weight = check_float(self.margin_weight, "margin_weight")
+        checked = {
+            "epochs": check_int(self.epochs, "epochs"),
+            "batch_size": check_int(self.batch_size, "batch_size"),
+            "routing_iters": check_int(self.routing_iters, "routing_iters"),
+            "learning_rate": check_float(self.learning_rate, "learning_rate"),
+            "adam_beta1": check_float(self.adam_beta1, "adam_beta1", high=1),
+            "adam_beta2": check_float(self.adam_beta2, "adam_beta2", high=1),
+            "adam_eps": check_float(self.adam_eps, "adam_eps", positive=True),
+            "seed": check_seed(self.seed),
+            "margin_upper": check_float(self.margin_upper, "margin_upper", high=1, positive=True),
+            "margin_lower": check_float(self.margin_lower, "margin_lower", high=1, positive=True),
+            "margin_weight": check_float(self.margin_weight, "margin_weight"),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.margin_lower >= self.margin_upper:
             raise ValueError(
                 f"margin_lower {self.margin_lower} must lie below margin_upper {self.margin_upper}"
             )
-
-
-# Model size from which adam_step runs on two threads: on two vCPUs a call took
-# 5.4-5.9 ms split against 11.6-12.2 at 200 / 16 (368,208 parameters), 1.5 either way at 103 / 9.
-_ADAM_SPLIT_FLOOR = 2**17
 
 
 @dataclass
@@ -90,58 +90,44 @@ class AdamState:
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
         return cls(
-            {name: np.zeros_like(arr) for name, arr in params.arrays()},
-            {name: np.zeros_like(arr) for name, arr in params.arrays()},
+            {name: np.zeros(arr.shape) for name, arr in params.arrays()},
+            {name: np.zeros(arr.shape) for name, arr in params.arrays()},
         )
 
 
 def adam_step(
-    params: ModelParams,
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    learning_rate: float,
-    beta1: float = TrainConfig.adam_beta1,
-    beta2: float = TrainConfig.adam_beta2,
-    eps: float = TrainConfig.adam_eps,
+    params: ModelParams, grads: dict[str, np.ndarray], state: AdamState, config: TrainConfig
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update, applied in place.
+    """One bias-corrected Adam update with ``config``'s settings, applied in place.
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
     theta <- theta - lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
 
     A zero gradient with fresh state leaves the parameters untouched.  A
     second moment or an update that is not finite raises FloatingPointError
-    naming its array.  From ``_ADAM_SPLIT_FLOOR`` parameters on, the worker
-    thread updates the second half of ``class_matrices`` and this thread the
-    rest; the update is elementwise, so the cut changes no bit.
+    naming its array.  Each array is updated in ``row_chunks`` of its (-1, last
+    axis) view, no copy as ``ModelParams`` holds C-contiguous arrays; the update
+    is elementwise, so the cut changes no bit.
     """
+    beta1, beta2 = config.adam_beta1, config.adam_beta2
     state.step += 1
-    t = state.step
-    bias1 = 1.0 - beta1**t
-    bias2 = 1.0 - beta2**t
+    bias1, bias2 = 1.0 - beta1**state.step, 1.0 - beta2**state.step
 
-    def piece(parts: list[tuple]) -> None:
-        for name, arr, grad, m, v in parts:
-            m *= beta1
-            m += (1.0 - beta1) * grad
-            v *= beta2
-            # a gradient past about 1e154 overflows v and zeroes its update: refused below
-            with np.errstate(over="ignore"):
-                v += (1.0 - beta2) * grad * grad
-            update = learning_rate * (m / bias1) / (np.sqrt(v / bias2) + eps)
-            if not (np.isfinite(update).all() and np.isfinite(v).all()):
-                raise FloatingPointError(f"non-finite Adam update for {name}")
-            arr -= update
+    def update_rows(name: str, arr, grad, m, v) -> None:
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        # a gradient past about 1e154 overflows v and zeroes its update: refused below
+        with np.errstate(over="ignore"):
+            v += (1.0 - beta2) * grad * grad
+        update = config.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + config.adam_eps)
+        if not (np.isfinite(update).all() and np.isfinite(v).all()):
+            raise FloatingPointError(f"non-finite Adam update for {name}")
+        arr -= update
 
-    split = params.size() >= _ADAM_SPLIT_FLOOR
-    pieces: list[list[tuple]] = [[], []]
     for name, arr in params.arrays():
         arrays = (arr, grads[name], state.first_moment[name], state.second_moment[name])
-        cut = len(arr) // 2 if split and name == "class_matrices" else len(arr)
-        pieces[0].append((name, *(a[:cut] for a in arrays)))
-        if cut < len(arr):
-            pieces[1].append((name, *(a[cut:] for a in arrays)))
-    run_pieces(piece, [(parts,) for parts in pieces if parts])
+        row_chunks(partial(update_rows, name), *(a.reshape(-1, arr.shape[-1]) for a in arrays))
     return params, state
 
 
@@ -294,15 +280,7 @@ def train(
                 )
                 loss, grad = margin_loss_batch(activations, train_labels[chosen], config)
                 grads = backward_batch(params, cache, grad)
-                adam_step(
-                    params,
-                    grads,
-                    state,
-                    config.learning_rate,
-                    config.adam_beta1,
-                    config.adam_beta2,
-                    config.adam_eps,
-                )
+                adam_step(params, grads, state, config)
             except FloatingPointError as exc:
                 _refuse_non_finite_patches(patches, train_coords[chosen])
                 raise TrainingDiverged(epoch, batch_index) from exc

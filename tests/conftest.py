@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-import hsicaps.data
 import hsicaps.layers
+import hsicaps.numerics
 from hsicaps.data import HsiCube, make_synthetic_cube, save_cube, stratified_split
 from hsicaps.layers import MINIATURE_ARCHITECTURE, Architecture
 
@@ -61,10 +61,10 @@ def shrink_child_blocks(
 
 
 def shrink_row_chunks(rows, channels, monkeypatch):
-    """Shrink the preprocessing chunk so that it holds ``rows`` pixel rows of
-    a ``channels``-channel cube; a cube of more than two chunks then runs on
+    """Shrink the row chunk so that it holds ``rows`` pixel rows of a
+    ``channels``-channel cube; a cube of more than two chunks then runs on
     the calling thread and the worker."""
-    monkeypatch.setattr(hsicaps.data, "_CHUNK_BYTES", rows * 8 * channels)
+    monkeypatch.setattr(hsicaps.numerics, "_CHUNK_BYTES", rows * 8 * channels)
 
 # float32 bit patterns a corrupt container payload may hold; casting the
 # signalling NaN to float64 raises numpy's "invalid value" warning

@@ -164,7 +164,7 @@ class TestPaletteAndPpm:
     def test_load_palette_errors(self, tmp_path, line):
         path = tmp_path / "p.txt"
         path.write_text(line + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="palette line 1"):
             load_palette(str(path))
 
     def test_default_palette(self):

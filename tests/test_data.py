@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import hsicaps.data
+import hsicaps.numerics
 from hsicaps.data import (
     CubeFormatError,
     HsiCube,
@@ -250,7 +250,7 @@ def record_pieces(monkeypatch, worker_first=False):
     """Record how many threads each row-chunk call runs on.  With
     ``worker_first``, the calling thread of a two-thread call starts taking
     chunks only after the worker has stopped, so the worker takes them all."""
-    run_pieces = hsicaps.data.run_pieces
+    run_pieces = hsicaps.numerics.run_pieces
     calls = []
 
     def recording(body, piece_args):
@@ -270,7 +270,7 @@ def record_pieces(monkeypatch, worker_first=False):
 
         return run_pieces(ordered, piece_args)
 
-    monkeypatch.setattr(hsicaps.data, "run_pieces", recording)
+    monkeypatch.setattr(hsicaps.numerics, "run_pieces", recording)
     return calls
 
 
@@ -384,7 +384,7 @@ class TestRowChunks:
 
         shrink_row_chunks(7, 4, monkeypatch)
         with pytest.raises(FloatingPointError, match=f"{failing} chunk"):
-            hsicaps.data._row_chunks(body, np.zeros((30, 4)))
+            hsicaps.numerics.row_chunks(body, np.zeros((30, 4)))
         # the caller's error waits for the worker to take every other chunk;
         # the worker's ends its drain and the caller takes the rest
         assert ended == ([7, 7, 7, 2] if failing == "caller" else [7])
@@ -405,7 +405,7 @@ class TestRowChunks:
                 taken[k].append(start)
                 return [start]  # lists add up to the starts in row order
 
-            outputs[k] = out, hsicaps.data._row_chunks(body, source, out)
+            outputs[k] = out, hsicaps.numerics.row_chunks(body, source, out)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hsicaps.layers
+import hsicaps.numerics
 import hsicaps.training
 from hsicaps.data import (
     ClassSplit,
@@ -50,6 +51,11 @@ def constant_grads(params, value):
 
 
 TOY_CONFIG = TrainConfig(epochs=3, batch_size=32, seed=0)
+
+
+def at_rate(learning_rate):
+    """The reference Adam settings at ``learning_rate``."""
+    return TrainConfig(learning_rate=learning_rate)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +119,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{name} .* got {value}"):
             TrainConfig(**{name: value})
 
+    def test_fields_cannot_be_assigned(self):
+        # an assigned value would skip its check
+        config = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.epochs = 0
+
+    def test_replace_checks_the_new_value(self):
+        with pytest.raises(ValueError, match="epochs"):
+            dataclasses.replace(TrainConfig(), epochs=0)
+
 
 class TestAdam:
     def test_first_step_closed_form(self):
@@ -121,7 +137,7 @@ class TestAdam:
         params = miniature_params(0)
         before = {name: arr.copy() for name, arr in params.arrays()}
         state = AdamState.for_params(params)
-        adam_step(params, constant_grads(params, 2.0), state, 0.01)
+        adam_step(params, constant_grads(params, 2.0), state, at_rate(0.01))
         expected_delta = 0.01 * 2.0 / (2.0 + 1e-8)
         for name, arr in params.arrays():
             np.testing.assert_allclose(
@@ -132,7 +148,7 @@ class TestAdam:
     def test_zero_gradient_is_identity(self):
         params = miniature_params(1)
         before = {name: arr.copy() for name, arr in params.arrays()}
-        adam_step(params, constant_grads(params, 0.0), AdamState.for_params(params), 0.5)
+        adam_step(params, constant_grads(params, 0.0), AdamState.for_params(params), at_rate(0.5))
         for name, arr in params.arrays():
             np.testing.assert_array_equal(before[name], arr)
 
@@ -141,8 +157,8 @@ class TestAdam:
         coord = params.spatial_bias[0]
         state = AdamState.for_params(params)
         g1, g2 = 0.7, -1.3
-        adam_step(params, constant_grads(params, g1), state, 0.01)
-        adam_step(params, constant_grads(params, g2), state, 0.01)
+        adam_step(params, constant_grads(params, g1), state, at_rate(0.01))
+        adam_step(params, constant_grads(params, g2), state, at_rate(0.01))
 
         m = v = 0.0
         theta = coord
@@ -162,7 +178,7 @@ class TestAdam:
                 name: np.linspace(-1, 1, arr.size).reshape(arr.shape)
                 for name, arr in params.arrays()
             }
-            adam_step(params, grads, AdamState.for_params(params), lr)
+            adam_step(params, grads, AdamState.for_params(params), at_rate(lr))
             deltas.append(np.abs(before - params.spatial_kernels))
         assert (deltas[0] <= deltas[1] + 1e-15).all()
 
@@ -170,7 +186,7 @@ class TestAdam:
         params = miniature_params(4)
         arr_before = params.spatial_kernels
         returned, _ = adam_step(
-            params, constant_grads(params, 1.0), AdamState.for_params(params), 0.1
+            params, constant_grads(params, 1.0), AdamState.for_params(params), at_rate(0.1)
         )
         assert returned is params
         assert returned.spatial_kernels is arr_before
@@ -180,7 +196,7 @@ class TestAdam:
         grads = constant_grads(params, 1.0)
         grads["window_tensors"][0, 0, 0, 0, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-            adam_step(params, grads, AdamState.for_params(params), 0.1)
+            adam_step(params, grads, AdamState.for_params(params), at_rate(0.1))
 
     def test_overflowing_second_moment_raises(self):
         # 1e160 squared overflows v to inf, which would turn the update into 0
@@ -188,23 +204,24 @@ class TestAdam:
         grads = constant_grads(params, 1.0)
         grads["class_matrices"][0, 0, 0, 0, 0] = 1e160
         with pytest.raises(FloatingPointError, match="class_matrices"):
-            adam_step(params, grads, AdamState.for_params(params), 0.01)
+            adam_step(params, grads, AdamState.for_params(params), at_rate(0.01))
 
 
     @staticmethod
     def count_pieces(monkeypatch):
-        run_pieces, calls = hsicaps.training.run_pieces, []
+        run_pieces, calls = hsicaps.numerics.run_pieces, []
 
         def recording(body, piece_args):
             calls.append(len(piece_args))
             return run_pieces(body, piece_args)
 
-        monkeypatch.setattr(hsicaps.training, "run_pieces", recording)
+        monkeypatch.setattr(hsicaps.numerics, "run_pieces", recording)
         return calls
 
     def test_split_update_matches_one_thread_arithmetic(self, monkeypatch):
-        # 200 channels / 16 classes is above the floor: the worker updates the
-        # second half of class_matrices and this thread the rest
+        # at 200 channels / 16 classes class_matrices is three 1 MiB row
+        # chunks, which this thread and the worker share; every other array
+        # is one chunk, updated on this thread
         params = init_params(Architecture(channels=200, num_classes=16), 0)
         expected = {name: arr.copy() for name, arr in params.arrays()}
         m = {name: np.zeros_like(arr) for name, arr in params.arrays()}
@@ -214,7 +231,7 @@ class TestAdam:
         rng = np.random.default_rng(0)
         for t in range(1, 6):
             grads = {name: rng.normal(size=arr.shape) for name, arr in params.arrays()}
-            adam_step(params, grads, state, 0.01)
+            adam_step(params, grads, state, at_rate(0.01))
             for name, g in grads.items():
                 m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
                 v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
@@ -226,19 +243,35 @@ class TestAdam:
             assert arr.tobytes() == expected[name].tobytes(), name
 
     def test_small_model_updates_on_one_thread(self, monkeypatch):
+        # at 103 channels / 9 classes and below every array is one chunk,
+        # which runs without the worker
         calls = self.count_pieces(monkeypatch)
-        params = miniature_params(7)
-        adam_step(params, constant_grads(params, 1.0), AdamState.for_params(params), 0.01)
-        assert calls == [1]
+        for arch in (MINIATURE_ARCHITECTURE, Architecture(channels=103, num_classes=9)):
+            params = init_params(arch, 7)
+            grads = constant_grads(params, 1.0)
+            adam_step(params, grads, AdamState.for_params(params), at_rate(0.01))
+        assert calls == []
+
+    def test_fortran_ordered_array_receives_its_update(self):
+        # the update goes through a reshaped view, which would be a copy of a
+        # Fortran-ordered array; ModelParams stores a C-ordered one instead
+        params = miniature_params(8)
+        params = dataclasses.replace(
+            params, class_matrices=np.asfortranarray(params.class_matrices)
+        )
+        before = params.class_matrices.copy()
+        adam_step(params, constant_grads(params, 1.0), AdamState.for_params(params), at_rate(0.01))
+        assert (params.class_matrices != before).all()
 
     @pytest.mark.parametrize("name", ["spatial_kernels", "class_matrices"])
     def test_overflow_in_either_piece_raises(self, name):
-        # the last class_matrices value lies in the worker's half
+        # the last class_matrices value lies in its third row chunk, which
+        # either thread may take
         params = init_params(Architecture(channels=200, num_classes=16), 0)
         grads = constant_grads(params, 1.0)
         grads[name].reshape(-1)[-1] = 1e160
         with pytest.raises(FloatingPointError, match=name):
-            adam_step(params, grads, AdamState.for_params(params), 0.01)
+            adam_step(params, grads, AdamState.for_params(params), at_rate(0.01))
 
 
 class TestTrainRecord:
