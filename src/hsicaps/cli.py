@@ -46,7 +46,7 @@ from .layers import (
     param_count,
     read_checkpoint,
 )
-from .metrics import format_metrics_kv, format_metrics_table
+from .metrics import ConfusionMatrix, MetricsResult, format_metrics_kv, format_metrics_table
 from .numerics import check_float, check_int, check_seed
 from .training import (
     TrainConfig,
@@ -312,6 +312,12 @@ def _load_run(args: argparse.Namespace) -> tuple[ModelParams, RunConfig, HsiCube
 # subcommands
 
 
+def _stage_metrics(stage, directory: Path, cm: ConfusionMatrix, result: MetricsResult) -> None:
+    """Stage a run's ``metrics.txt`` and ``metrics.kv`` in ``directory``."""
+    stage(directory / "metrics.txt", [format_metrics_table(cm, result).encode()])
+    stage(directory / "metrics.kv", [format_metrics_kv(cm, result).encode()])
+
+
 def cmd_info(args: argparse.Namespace) -> int:
     cube = load_cube(args.cube)
     histogram = cube.class_histogram()
@@ -385,8 +391,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         cm = evaluate(saved, prepared, test_coords, config.routing_iters)
         result = cm.metrics()
         stage(output_dir / "train_log.tsv", [record.to_tsv().encode()])
-        stage(output_dir / "metrics.txt", [format_metrics_table(cm, result).encode()])
-        stage(output_dir / "metrics.kv", [format_metrics_kv(cm, result).encode()])
+        _stage_metrics(stage, output_dir, cm, result)
 
     print(f"best epoch {record.best_epoch} (val OA {record.best_val_accuracy:.4f})")
     print(f"test OA {result.overall_accuracy:.4f}")
@@ -409,8 +414,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)
         with atomic_writes() as stage:
-            stage(out / "metrics.txt", [format_metrics_table(cm, result).encode()])
-            stage(out / "metrics.kv", [format_metrics_kv(cm, result).encode()])
+            _stage_metrics(stage, out, cm, result)
         print(f"wrote metrics to {out}")
     return EXIT_OK
 

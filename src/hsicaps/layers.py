@@ -12,17 +12,20 @@ and differentiated through, with the initial uniform logits treated as
 constants.  Class ids are 1-based.
 
 The spatial, primary and window layers are one private strided 1D
-convolution along the spectral axis, held maps-first (maps, B, length).  The
-routed class layer writes its prediction vectors once, as (B, children,
-classes, out_dim), and routes over blocks of children that its shape fixes:
-each routing iteration, forward and backward, is one pass over the blocks,
-doing all of that iteration's work on a block while it is in cache.
-``forward_batch`` and ``backward_batch`` compose them and are the one public
-way into the layers.  Both run a call as the one or two sample pieces that
-one cut rule gives, the second on one worker thread; the inference block
-size follows the same budget.  Each parameter array is
-declared once, in ``_PARAM_TABLE``, with its layer, shape, init and
-gradient-check family.
+convolution along the spectral axis, held maps-first (maps, B, length), and
+are declared once, in ``_convolutions``: each one's kernels and bias as views
+of its parameters (or of their gradients), its stride and its input length.
+The forward pass runs that table in order, the backward pass in reverse,
+writing each gradient through the same views.  The routed class layer writes
+its prediction vectors once, as (B, children, classes, out_dim), and routes
+over blocks of children that its shape fixes: each routing iteration,
+forward and backward, is one pass over the blocks, doing all of that
+iteration's work on a block while it is in cache.  ``forward_batch`` and
+``backward_batch`` compose them and are the one public way into the layers.
+Both run a call as the one or two sample pieces that one cut rule gives, the
+second on one worker thread; the inference block size follows the same
+budget.  Each parameter array is declared once, in ``_PARAM_TABLE``, with
+its layer, shape, init and gradient-check family.
 """
 
 from __future__ import annotations
@@ -195,14 +198,14 @@ PARAM_FIELDS = tuple(_PARAM_TABLE)
 PARAM_GROUPS = {name: spec.group for name, spec in _PARAM_TABLE.items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     """All trainable arrays, C-contiguous float64, shaped by an :class:`Architecture`.
 
     ``window_tensors`` is indexed (array, out_dim, window_offset, child_array,
     child_dim) and is shared across window positions; ``class_matrices`` is
     indexed (child_array, child_position, class, out_dim, child_dim) with no
-    sharing.
+    sharing.  Fields cannot be reassigned, so reshaped views are never copies.
     """
 
     arch: Architecture
@@ -219,7 +222,7 @@ class ModelParams:
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if arr.shape != expected:
                 raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
-            setattr(self, name, arr)
+            object.__setattr__(self, name, arr)
 
     @staticmethod
     def expected_shapes(arch: Architecture) -> dict[str, tuple[int, ...]]:
@@ -313,9 +316,7 @@ def _conv_forward(maps: np.ndarray, kernels: np.ndarray, bias: np.ndarray, strid
     return windows, pre + bias[:, None, None]
 
 
-def _conv_backward(
-    grad_pre: np.ndarray, windows: np.ndarray, kernels=None, stride: int = 1, length: int = 0
-):
+def _conv_backward(grad_pre: np.ndarray, windows: np.ndarray, kernels, stride: int, length: int):
     """Adjoint of :func:`_conv_forward`: gradients wrt (kernels, bias, the
     (in_maps, B, length) input), the last None unless ``kernels`` is given.
     The input gradient scatter-adds each kernel offset's window gradients."""
@@ -337,6 +338,22 @@ def _window_kernels(tensors: np.ndarray) -> np.ndarray:
     as (out_arrays*out_dim, arrays*dim, window) convolution kernels."""
     out_arrays, out_dim, window = tensors.shape[:3]
     return tensors.reshape(out_arrays * out_dim, window, -1).transpose(0, 2, 1)
+
+
+def _convolutions(params: ModelParams, arrays: dict[str, np.ndarray] | None = None):
+    """(kernels, bias, stride, input length) of the spatial, primary and
+    window convolutions, in forward order.  Kernels and bias are views of
+    ``params``' arrays, or of the same-named arrays in ``arrays`` (a gradient
+    dict shaped like the parameters), so writing through them fills those."""
+    arch = params.arch
+    arrays = dict(params.arrays()) if arrays is None else arrays
+    spatial = arrays["spatial_kernels"].reshape(arch.spatial_filters, -1, 1)
+    window = _window_kernels(arrays["window_tensors"])
+    return [
+        (spatial, arrays["spatial_bias"], 1, arch.channels),
+        (arrays["primary_kernels"], arrays["primary_bias"], arch.primary_stride, arch.channels),
+        (window, arrays["window_bias"].reshape(-1), arch.window_stride, arch.primary_positions),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -564,22 +581,17 @@ def inference_block(arch: Architecture, batch_size: int) -> int:
 class _PieceCache(NamedTuple):
     """Intermediates of one piece's forward pass.
 
-    The three convolutions keep their input windows (in_maps, B, positions,
-    kernel) and pre-activations (out_maps, B, positions), maps-first;
-    ``pre_window`` is viewed sample-first as (B, positions, out_arrays,
-    out_dim), the layout of ``window_caps``, the class layer's input.
-    ``predictions`` is the class layer's one prediction tensor, (B, children,
-    classes, out_dim) with child n = array * positions + position, and
-    ``routing`` holds each iteration's class-major (coupling, weighted sums,
-    parents).
+    ``convs`` holds, in :func:`_convolutions` order, each convolution's input
+    windows (in_maps, B, positions, kernel) and pre-activations (out_maps, B,
+    positions), maps-first.  ``window_caps`` is the last pre-activations
+    regrouped sample-first as (B, positions, out_arrays, out_dim) and
+    squashed, the class layer's input.  ``predictions`` is the class layer's
+    one prediction tensor, (B, children, classes, out_dim) with child n =
+    array * positions + position, and ``routing`` holds each iteration's
+    class-major (coupling, weighted sums, parents).
     """
 
-    patch_windows: np.ndarray
-    pre_spatial: np.ndarray
-    spatial_windows: np.ndarray
-    pre_primary: np.ndarray
-    caps_windows: np.ndarray
-    pre_window: np.ndarray
+    convs: list[tuple[np.ndarray, np.ndarray]]
     window_caps: np.ndarray
     predictions: np.ndarray
     routing: list
@@ -639,43 +651,23 @@ def _forward_body(
     """One piece of :func:`forward_batch`, on validated patches."""
     arch = params.arch
     batch = len(patches)
-    pixels = patches.reshape(batch, -1, arch.channels).transpose(1, 0, 2)
-    spatial_kernels = params.spatial_kernels.reshape(arch.spatial_filters, -1, 1)
-    patch_windows, pre_spatial = _conv_forward(
-        pixels, spatial_kernels, params.spatial_bias, 1
+    maps = patches.reshape(batch, -1, arch.channels).transpose(1, 0, 2)
+    convs = []
+    for kernels, bias, stride, _ in _convolutions(params):
+        if convs:
+            maps = relu(convs[-1][1])
+        convs.append(_conv_forward(maps, kernels, bias, stride))
+    window_caps = squash(
+        convs[-1][1].transpose(1, 2, 0).reshape(
+            batch, arch.window_positions, arch.window_count, arch.window_capsule_dim
+        )
     )
-    spatial_windows, pre_primary = _conv_forward(
-        relu(pre_spatial),
-        params.primary_kernels,
-        params.primary_bias,
-        arch.primary_stride,
-    )
-    caps_windows, pre_window = _conv_forward(
-        relu(pre_primary),
-        _window_kernels(params.window_tensors),
-        params.window_bias.ravel(),
-        arch.window_stride,
-    )
-    pre_window = pre_window.transpose(1, 2, 0).reshape(
-        batch, arch.window_positions, arch.window_count, arch.window_capsule_dim
-    )
-    window_caps = squash(pre_window)
     predictions, (parents, _, _, routing_cache) = _class_forward(
         window_caps, params.class_matrices, routing_iters, keep_cache
     )
     if not keep_cache:
         return parents, None
-    return parents, _PieceCache(
-        patch_windows=patch_windows,
-        pre_spatial=pre_spatial,
-        spatial_windows=spatial_windows,
-        pre_primary=pre_primary,
-        caps_windows=caps_windows,
-        pre_window=pre_window,
-        window_caps=window_caps,
-        predictions=predictions,
-        routing=routing_cache,
-    )
+    return parents, _PieceCache(convs, window_caps, predictions, routing_cache)
 
 
 def backward_batch(
@@ -716,50 +708,29 @@ def backward_batch(
 def _backward_body(
     params: ModelParams, cache: _PieceCache, upstream: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """:func:`backward_batch` over one piece's cache."""
-    arch = params.arch
-    grad_window_caps, grad_class_matrices = _class_backward(
-        upstream,
-        cache.window_caps,
-        cache.predictions,
-        cache.routing,
-        params.class_matrices,
+    """:func:`backward_batch` over one piece's cache; each convolution's
+    gradients are written through its :func:`_convolutions` views."""
+    grad_caps, grad_matrices = _class_backward(
+        upstream, cache.window_caps, cache.predictions, cache.routing, params.class_matrices
     )
-    grad_pre_window = squash_backward(grad_window_caps, cache.pre_window)
-    grad_pre_window = grad_pre_window.reshape(
-        len(upstream), arch.window_positions, -1
-    ).transpose(2, 0, 1)
-    grad_window_kernels, grad_window_bias, grad_primary_maps = _conv_backward(
-        grad_pre_window,
-        cache.caps_windows,
-        _window_kernels(params.window_tensors),
-        arch.window_stride,
-        arch.primary_positions,
-    )
-    grad_pre_primary = relu_grad(cache.pre_primary, grad_primary_maps)
-    grad_primary_kernels, grad_primary_bias, grad_spatial_maps = _conv_backward(
-        grad_pre_primary,
-        cache.spatial_windows,
-        params.primary_kernels,
-        arch.primary_stride,
-        arch.channels,
-    )
-    grad_pre_spatial = relu_grad(cache.pre_spatial, grad_spatial_maps)
-    grad_spatial_kernels, grad_spatial_bias, _ = _conv_backward(
-        grad_pre_spatial, cache.patch_windows
-    )
-
-    return {
-        "spatial_kernels": grad_spatial_kernels.reshape(params.spatial_kernels.shape),
-        "spatial_bias": grad_spatial_bias,
-        "primary_kernels": grad_primary_kernels,
-        "primary_bias": grad_primary_bias,
-        "window_tensors": grad_window_kernels.transpose(0, 2, 1).reshape(
-            params.window_tensors.shape
-        ),
-        "window_bias": grad_window_bias.reshape(params.window_bias.shape),
-        "class_matrices": grad_class_matrices,
+    grads = {
+        name: grad_matrices if name == "class_matrices" else np.empty_like(arr)
+        for name, arr in params.arrays()
     }
+    pre = cache.convs[-1][1]
+    grad_caps = squash_backward(grad_caps, pre.transpose(1, 2, 0).reshape(grad_caps.shape))
+    grad_pre = grad_caps.reshape(*grad_caps.shape[:2], -1).transpose(2, 0, 1)
+    table, grad_views = _convolutions(params), _convolutions(params, grads)
+    for i in reversed(range(len(table))):
+        kernels, _, stride, length = table[i]
+        grad_kernels, grad_bias, _, _ = grad_views[i]
+        # the first layer's input is the patches: no gradient to pass on
+        grad_kernels[...], grad_bias[...], grad_maps = _conv_backward(
+            grad_pre, cache.convs[i][0], kernels if i else None, stride, length
+        )
+        if i:
+            grad_pre = relu_grad(cache.convs[i - 1][1], grad_maps)
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hsicaps.layers import (
     _child_blocks,
     _class_forward,
     _conv_forward,
+    _convolutions,
     _pieces,
     _window_kernels,
     MINIATURE_ARCHITECTURE,
@@ -211,6 +212,12 @@ class TestParamsAndInit:
                 params.class_matrices,
             )
 
+    def test_fields_cannot_be_assigned(self):
+        # a reassigned field would skip the contiguity __post_init__ gives it
+        params = miniature_params()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.class_matrices = np.asfortranarray(params.class_matrices)
+
     def test_copy_is_independent(self):
         params = miniature_params()
         clone = params.copy()
@@ -386,13 +393,16 @@ class TestConvCaps:
     def test_outputs_are_squashed(self):
         rng = np.random.default_rng(3)
         params = miniature_params(3)
-        params.window_tensors = rng.normal(size=params.window_tensors.shape)
-        params.window_bias = rng.normal(size=params.window_bias.shape)
+        params = dataclasses.replace(
+            params,
+            window_tensors=rng.normal(size=params.window_tensors.shape),
+            window_bias=rng.normal(size=params.window_bias.shape),
+        )
         arch = MINIATURE_ARCHITECTURE
         patches = rng.normal(0, 5, (4, arch.patch_size, arch.patch_size, arch.channels))
         _, cache = forward_batch(params, patches, keep_cache=True)
         (piece,) = cache.pieces
-        assert np.abs(piece.pre_window).max() > 1.0  # squashing has work to do
+        assert np.abs(piece.convs[-1][1]).max() > 1.0  # squashing has work to do
         assert (np.linalg.norm(piece.window_caps, axis=-1) < 1.0).all()
 
     def test_bias_applied_before_squash(self):
@@ -508,6 +518,32 @@ class TestModelEngine:
         assert cache is not None
         assert len(cache.pieces[0].routing) == 3
 
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            MINIATURE_ARCHITECTURE,
+            Architecture(channels=103, num_classes=9),
+            Architecture(channels=200, num_classes=16),
+        ],
+        ids=["miniature", "103/9", "200/16"],
+    )
+    def test_convolution_table_views_its_arrays(self, arch):
+        # backward writes each convolution's gradients through these views
+        # into np.empty arrays, so a view that became a copy would leave its
+        # gradient unwritten
+        params = init_params(arch, 0)
+        grads = {name: np.empty_like(arr) for name, arr in params.arrays()}
+        names = [
+            ("spatial_kernels", "spatial_bias"),
+            ("primary_kernels", "primary_bias"),
+            ("window_tensors", "window_bias"),
+        ]
+        for arrays in (dict(params.arrays()), grads):
+            table = _convolutions(params, arrays)
+            for (kernels, bias, _, _), (kernel_name, bias_name) in zip(table, names, strict=True):
+                assert np.shares_memory(kernels, arrays[kernel_name]), kernel_name
+                assert np.shares_memory(bias, arrays[bias_name]), bias_name
+
     def test_batch_matches_single_sample_pipeline(self):
         # the straight-loop oracles chained one sample at a time share no code
         # with the engine; DISTINCT_ARCHITECTURE's unequal widths pin every
@@ -599,7 +635,7 @@ class TestModelEngine:
         gate = hsicaps.layers.relu_grad
 
         def infinite_map_5(pre, upstream):
-            if pre is cache.pieces[0].pre_primary:
+            if pre is cache.pieces[0].convs[1][1]:
                 upstream = upstream.copy()
                 upstream[5] = np.inf
             return gate(pre, upstream)

@@ -461,7 +461,7 @@ class TestTrain:
         # the batch's loss sum overflows while its gradient stays finite
         def scaled_init(arch, rng):
             params = init_params(arch, rng)
-            params.class_matrices *= 10.0
+            params.class_matrices[...] *= 10.0
             return params
 
         monkeypatch.setattr(hsicaps.training, "init_params", scaled_init)
