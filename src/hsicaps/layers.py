@@ -12,7 +12,7 @@ and differentiated through, with the initial uniform logits treated as
 constants.  Class ids are 1-based.
 
 The spatial, primary and window layers are one private strided 1D
-convolution along the spectral axis, held maps-first (maps, B, length), and
+convolution along the spectral axis, held sample-minor (maps, length, B), and
 are declared once, in ``_convolutions``: each one's kernels and bias as views
 of its parameters (or of their gradients), its stride and its input length.
 The forward pass runs that table in order, the backward pass in reverse,
@@ -300,36 +300,47 @@ def predict_classes(activations: np.ndarray) -> np.ndarray:
 # the spectral convolution
 #
 # The spatial, primary and window layers are one strided, valid 1D
-# convolution along the spectral axis, held maps-first: inputs are (in_maps,
-# B, length), kernels (out_maps, in_maps, kernel), pre-activations (out_maps,
-# B, positions).  The spatial layer is its kernel-1 case over the size*size
-# patch pixels; the window layer convolves the primary layer's arrays*dim
-# maps.  The class layer reads its input as sample-first capsules (B,
-# positions, arrays, dim).
+# convolution along the spectral axis, held sample-minor: inputs are (in_maps,
+# length, B), kernels (out_maps, in_maps, kernel), pre-activations (out_maps,
+# positions, B): a convolution copies one column matrix of contiguous sample
+# rows, for one product and the backward pass.  The spatial layer is its
+# kernel-1 case over the size*size patch pixels; the window layer convolves the
+# primary layer's arrays*dim maps.  The class layer reads its input as
+# sample-first capsules (B, positions, arrays, dim).
 
 
 def _conv_forward(maps: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int):
-    """(in_maps, B, length) -> (windows (in_maps, B, positions, kernel),
-    pre-activations (out_maps, B, positions))."""
-    windows = sliding_window_view(maps, kernels.shape[-1], axis=-1)[:, :, ::stride]
-    pre = np.tensordot(kernels, windows, axes=([1, 2], [0, 3]))
-    return windows, pre + bias[:, None, None]
+    """(in_maps, length, B) -> (columns (in_maps*kernel, positions*B),
+    pre-activations (out_maps, positions, B)).  Row (i, j) of the columns is
+    map i at offset j of every window, so the convolution is one product."""
+    out_maps, in_maps, kernel = kernels.shape
+    windows = sliding_window_view(maps, kernel, axis=1)[:, ::stride]
+    columns = np.ascontiguousarray(windows.transpose(0, 3, 1, 2)).reshape(in_maps * kernel, -1)
+    pre = kernels.reshape(out_maps, -1) @ columns
+    pre += bias[:, None]
+    return columns, pre.reshape(out_maps, -1, maps.shape[-1])
 
 
-def _conv_backward(grad_pre: np.ndarray, windows: np.ndarray, kernels, stride: int, length: int):
-    """Adjoint of :func:`_conv_forward`: gradients wrt (kernels, bias, the
-    (in_maps, B, length) input), the last None unless ``kernels`` is given.
-    The input gradient scatter-adds each kernel offset's window gradients."""
-    grad_kernels = np.tensordot(grad_pre, windows, axes=([1, 2], [1, 2]))
-    grad_bias = grad_pre.sum(axis=(1, 2))
-    if kernels is None:
+def _conv_backward(
+    grad_pre: np.ndarray, columns: np.ndarray, kernels: np.ndarray, stride: int, length: int | None
+):
+    """Adjoint of :func:`_conv_forward` at its ``columns`` (or at any
+    (in_maps*kernel, positions, B) array of them): gradients wrt (kernels,
+    bias, the (in_maps, length, B) input), the last None when ``length`` is.
+    The input gradient adds each kernel offset's column gradients into a
+    strided run of positions, over contiguous rows of samples."""
+    grad = grad_pre.reshape(len(grad_pre), -1)
+    grad_kernels = (columns.reshape(len(columns), -1) @ grad.T).T.reshape(kernels.shape)
+    grad_bias = grad.sum(axis=1)
+    if length is None:
         return grad_kernels, grad_bias, None
-    grad_windows = np.tensordot(kernels, grad_pre, axes=(0, 0))
-    maps, kernel, batch, count = grad_windows.shape
-    grad_input = np.zeros((maps, batch, length))
-    span = (count - 1) * stride + 1
+    maps, kernel = kernels.shape[1:]
+    batch = grad_pre.shape[-1]
+    grad_columns = (kernels.reshape(len(kernels), -1).T @ grad).reshape(maps, kernel, -1, batch)
+    grad_input = np.zeros((maps, length, batch))
+    span = (grad_columns.shape[2] - 1) * stride + 1
     for j in range(kernel):
-        grad_input[..., j : j + span : stride] += grad_windows[:, j]
+        grad_input[:, j : j + span : stride] += grad_columns[:, j]
     return grad_kernels, grad_bias, grad_input
 
 
@@ -581,14 +592,15 @@ def inference_block(arch: Architecture, batch_size: int) -> int:
 class _PieceCache(NamedTuple):
     """Intermediates of one piece's forward pass.
 
-    ``convs`` holds, in :func:`_convolutions` order, each convolution's input
-    windows (in_maps, B, positions, kernel) and pre-activations (out_maps, B,
-    positions), maps-first.  ``window_caps`` is the last pre-activations
-    regrouped sample-first as (B, positions, out_arrays, out_dim) and
-    squashed, the class layer's input.  ``predictions`` is the class layer's
-    one prediction tensor, (B, children, classes, out_dim) with child n =
-    array * positions + position, and ``routing`` holds each iteration's
-    class-major (coupling, weighted sums, parents).
+    ``convs`` holds, in :func:`_convolutions` order, each convolution's column
+    matrix (in_maps*kernel, positions*B) and pre-activations (out_maps,
+    positions, B), sample-minor; the spatial layer's columns are the patches,
+    viewed in place as (size*size, channels, B).  ``window_caps`` is the last
+    pre-activations regrouped sample-first as (B, positions, out_arrays,
+    out_dim) and squashed, the class layer's input.  ``predictions`` is the
+    class layer's one prediction tensor, (B, children, classes, out_dim) with
+    child n = array * positions + position, and ``routing`` holds each
+    iteration's class-major (coupling, weighted sums, parents).
     """
 
     convs: list[tuple[np.ndarray, np.ndarray]]
@@ -651,14 +663,14 @@ def _forward_body(
     """One piece of :func:`forward_batch`, on validated patches."""
     arch = params.arch
     batch = len(patches)
-    maps = patches.reshape(batch, -1, arch.channels).transpose(1, 0, 2)
+    pixels = patches.reshape(batch, -1, arch.channels).transpose(1, 2, 0)
     convs = []
-    for kernels, bias, stride, _ in _convolutions(params):
-        if convs:
-            maps = relu(convs[-1][1])
-        convs.append(_conv_forward(maps, kernels, bias, stride))
+    for i, (kernels, bias, stride, _) in enumerate(_convolutions(params)):
+        columns, pre = _conv_forward(relu(pre) if i else pixels, kernels, bias, stride)
+        if keep_cache:  # inference keeps no column matrix
+            convs.append((columns if i else pixels, pre))
     window_caps = squash(
-        convs[-1][1].transpose(1, 2, 0).reshape(
+        pre.transpose(2, 1, 0).reshape(
             batch, arch.window_positions, arch.window_count, arch.window_capsule_dim
         )
     )
@@ -718,15 +730,15 @@ def _backward_body(
         for name, arr in params.arrays()
     }
     pre = cache.convs[-1][1]
-    grad_caps = squash_backward(grad_caps, pre.transpose(1, 2, 0).reshape(grad_caps.shape))
-    grad_pre = grad_caps.reshape(*grad_caps.shape[:2], -1).transpose(2, 0, 1)
+    grad_caps = squash_backward(grad_caps, pre.transpose(2, 1, 0).reshape(grad_caps.shape))
+    grad_pre = grad_caps.reshape(*grad_caps.shape[:2], -1).transpose(2, 1, 0)
     table, grad_views = _convolutions(params), _convolutions(params, grads)
     for i in reversed(range(len(table))):
         kernels, _, stride, length = table[i]
         grad_kernels, grad_bias, _, _ = grad_views[i]
         # the first layer's input is the patches: no gradient to pass on
         grad_kernels[...], grad_bias[...], grad_maps = _conv_backward(
-            grad_pre, cache.convs[i][0], kernels if i else None, stride, length
+            grad_pre, cache.convs[i][0], kernels, stride, length if i else None
         )
         if i:
             grad_pre = relu_grad(cache.convs[i - 1][1], grad_maps)

@@ -167,7 +167,7 @@ def test_criterion_05_brute_force_layer_equivalence(monkeypatch):
     instances each (every instance under 200 parameters), within 1e-10.
 
     The layers run as the model runs them: the three convolutions through
-    the maps-first (in_maps, B, length) convolution, the class layer through
+    the sample-minor (in_maps, length, B) convolution, the class layer through
     the routing engine, whose child n is array * positions + position, both
     as one block of children and in blocks of two.
     """
@@ -181,10 +181,10 @@ def test_criterion_05_brute_force_layer_equivalence(monkeypatch):
         kernels = rng.normal(size=(filters, size, size))
         bias = rng.normal(size=filters)
         assert filters * (size * size + 1) <= 200
-        pixels = patch.reshape(-1, 1, channels)
+        pixels = patch.reshape(-1, channels, 1)
         _, pre = _conv_forward(pixels, kernels.reshape(filters, -1, 1), bias, 1)
         np.testing.assert_allclose(
-            relu(pre[:, 0]).T,
+            relu(pre[:, :, 0]).T,
             oracle_spatial_conv(patch, kernels, bias),
             atol=1e-10,
         )
@@ -200,10 +200,10 @@ def test_criterion_05_brute_force_layer_equivalence(monkeypatch):
         kernels = rng.normal(size=(arrays * dim, in_maps, f))
         bias = rng.normal(size=arrays * dim)
         assert arrays * dim * (in_maps * f + 1) <= 200
-        _, pre = _conv_forward(features.T[:, None], kernels, bias, stride)
+        _, pre = _conv_forward(features.T[:, :, None], kernels, bias, stride)
         # map a * dim + j is component j of array a's capsule
         np.testing.assert_allclose(
-            relu(pre[:, 0]).T.reshape(-1, arrays, dim),
+            relu(pre[:, :, 0]).T.reshape(-1, arrays, dim),
             oracle_primary_caps(features, kernels, bias, stride, arrays, dim),
             atol=1e-10,
         )
@@ -220,10 +220,10 @@ def test_criterion_05_brute_force_layer_equivalence(monkeypatch):
         tensors = rng.normal(size=(out_arrays, out_dim, window, arrays, dim))
         bias = rng.normal(size=(out_arrays, out_dim))
         assert out_arrays * out_dim * (window * arrays * dim + 1) <= 200
-        maps = children.reshape(positions, -1).T[:, None]
+        maps = children.reshape(positions, -1).T[:, :, None]
         _, pre = _conv_forward(maps, _window_kernels(tensors), bias.ravel(), stride)
         np.testing.assert_allclose(
-            squash(pre[:, 0].T.reshape(-1, out_arrays, out_dim)),
+            squash(pre[:, :, 0].T.reshape(-1, out_arrays, out_dim)),
             oracle_conv_caps(children, tensors, bias, stride),
             atol=1e-10,
         )

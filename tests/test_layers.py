@@ -6,6 +6,7 @@ import re
 import struct
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from hsicaps.cli import RunConfig
 from hsicaps.layers import (
     _child_blocks,
     _class_forward,
+    _conv_backward,
     _conv_forward,
     _convolutions,
     _pieces,
@@ -296,7 +298,7 @@ class TestCapsuleReadout:
 
 
 class TestSpatialConv:
-    """The spatial layer as the model runs it: the maps-first convolution
+    """The spatial layer as the model runs it: the sample-minor convolution
     with one input map per patch pixel and the channels as its length."""
 
     def test_matches_oracle(self):
@@ -308,10 +310,10 @@ class TestSpatialConv:
             patch = rng.normal(size=(size, size, channels))
             kernels = rng.normal(size=(filters, size, size))
             bias = rng.normal(size=filters)
-            pixels = patch.reshape(-1, 1, channels)
+            pixels = patch.reshape(-1, channels, 1)
             _, pre = _conv_forward(pixels, kernels.reshape(filters, -1, 1), bias, 1)
             np.testing.assert_allclose(
-                relu(pre[:, 0]).T,
+                relu(pre[:, :, 0]).T,
                 oracle_spatial_conv(patch, kernels, bias),
                 atol=1e-12,
             )
@@ -338,9 +340,9 @@ class TestPrimaryCaps:
             features = rng.normal(size=(channels, in_maps))
             kernels = rng.normal(size=(arrays * dim, in_maps, f))
             bias = rng.normal(size=arrays * dim)
-            _, pre = _conv_forward(features.T[:, None], kernels, bias, stride)
+            _, pre = _conv_forward(features.T[:, :, None], kernels, bias, stride)
             np.testing.assert_allclose(
-                relu(pre[:, 0]).T.reshape(-1, arrays, dim),
+                relu(pre[:, :, 0]).T.reshape(-1, arrays, dim),
                 oracle_primary_caps(features, kernels, bias, stride, arrays, dim),
                 atol=1e-12,
             )
@@ -356,16 +358,16 @@ class TestPrimaryCaps:
         kernels[:, 0, 0] = 1.0
         for o in range(4):
             kernels[o, 1, 0] = o
-        _, maps = _conv_forward(features.T[:, None], kernels, np.zeros(4), 1)
+        _, maps = _conv_forward(features.T[:, :, None], kernels, np.zeros(4), 1)
         for a in range(2):
             for j in range(2):
                 # a size-1 window tensor that passes capsule component (a, j)
                 picker = np.zeros((1, 1, 1, 2, 2))
                 picker[0, 0, 0, a, j] = 1.0
                 _, caps = _conv_forward(maps, _window_kernels(picker), np.zeros(1), 1)
-                assert caps.shape == (1, 1, channels)
+                assert caps.shape == (1, channels, 1)
                 for t in range(channels):
-                    assert caps[0, 0, t] == t + 100.0 * (a * 2 + j)
+                    assert caps[0, t, 0] == t + 100.0 * (a * 2 + j)
 
 
 class TestConvCaps:
@@ -382,10 +384,10 @@ class TestConvCaps:
             children = rng.normal(size=(positions, arrays, dim))
             tensors = rng.normal(size=(out_arrays, out_dim, window, arrays, dim))
             bias = rng.normal(size=(out_arrays, out_dim))
-            maps = children.reshape(positions, -1).T[:, None]
+            maps = children.reshape(positions, -1).T[:, :, None]
             _, pre = _conv_forward(maps, _window_kernels(tensors), bias.ravel(), stride)
             np.testing.assert_allclose(
-                squash(pre[:, 0].T.reshape(-1, out_arrays, out_dim)),
+                squash(pre[:, :, 0].T.reshape(-1, out_arrays, out_dim)),
                 oracle_conv_caps(children, tensors, bias, stride),
                 atol=1e-12,
             )
@@ -418,6 +420,38 @@ class TestConvCaps:
             np.broadcast_to(squash(params.window_bias), window_caps.shape),
             atol=1e-15,
         )
+
+
+class TestConvAdjoint:
+    """``_conv_backward`` is the adjoint of ``_conv_forward`` at each of the
+    model's three convolutions: <conv(x), g> = <x, dx> with a zero bias, and
+    <conv(x), g> = <K, dK> + <b, db>, since conv is linear in (K, b).  The
+    input identity pins every kernel offset the fold adds back.  At 103/9 the
+    primary layer's length is odd, and at 32/3 and 200/16 its last channel
+    lies past the last window, so it must get no gradient."""
+
+    @pytest.mark.parametrize("batch", [1, 5, 8])
+    @pytest.mark.parametrize("channels, classes", [(32, 3), (103, 9), (200, 16)])
+    def test_backward_is_the_adjoint(self, channels, classes, batch):
+        rng = np.random.default_rng(channels + batch)
+        params = init_params(Architecture(channels=channels, num_classes=classes), 1)
+        for kernels, _, stride, length in _convolutions(params):
+            kernels = rng.normal(size=kernels.shape)
+            bias = rng.normal(size=len(kernels))
+            maps = rng.normal(size=(kernels.shape[1], length, batch))
+            columns, pre = _conv_forward(maps, kernels, np.zeros_like(bias), stride)
+            grad = rng.normal(size=pre.shape)
+            grad_kernels, grad_bias, grad_maps = _conv_backward(
+                grad, columns, kernels, stride, length
+            )
+            assert grad_maps.shape == maps.shape
+            np.testing.assert_allclose(np.vdot(pre, grad), np.vdot(maps, grad_maps), rtol=1e-12)
+            _, pre = _conv_forward(maps, kernels, bias, stride)
+            np.testing.assert_allclose(
+                np.vdot(pre, grad),
+                np.vdot(kernels, grad_kernels) + np.vdot(bias, grad_bias),
+                rtol=1e-12,
+            )
 
 
 def random_routing_setup(seed, positions=3, arrays=2, dim=3, classes=3, out_dim=2):
@@ -611,6 +645,23 @@ class TestModelEngine:
         )
         with pytest.raises(ValueError, match=re.escape(f"(5, 3, 4), got {shape}")):
             backward_batch(params, cache, np.ones(shape))
+
+    def test_inference_keeps_no_column_matrix(self):
+        # an uncached 48-sample call at 103/9 runs as two pieces on two
+        # threads, whose peaks overlap by chance; the bound is the traced peak
+        # of the maps-first engine, which held no column matrix, and keeping
+        # each convolution's column matrix at inference adds about 3 MiB
+        arch = Architecture(channels=103, num_classes=9)
+        params = init_params(arch, 0)
+        patches = self.random_patches(48, arch=arch)
+        forward_batch(params, patches)
+        tracemalloc.start()
+        try:
+            forward_batch(params, patches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.8 * 2**20
 
     def test_non_finite_gradient_names_its_family(self, monkeypatch):
         params = miniature_params()

@@ -24,15 +24,16 @@ from conftest import oracle_conv1d
 
 
 # The spatial and primary layers' valid-padding convolution is the model's
-# maps-first ``_conv_forward``, which returns the pre-activations before any
-# ReLU.  These helpers read it in the plain (length, maps) layout.
+# sample-minor ``_conv_forward`` on (maps, length, B) maps, which returns the
+# pre-activations before any ReLU.  These helpers run it on one sample and
+# read it in the plain (length, maps) layout.
 
 
 def spectral_conv(signal, kernels, bias, stride):
     """The primary layer's spectral convolution: (length, in_maps) ->
     (out_length, maps)."""
-    _, pre = _conv_forward(signal.T[:, None], kernels, bias, stride)
-    return pre[:, 0].T
+    _, pre = _conv_forward(signal.T[:, :, None], kernels, bias, stride)
+    return pre[:, :, 0].T
 
 
 def filter_response(patch, kernel, bias):
