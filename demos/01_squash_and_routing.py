@@ -82,7 +82,7 @@ print("  (r=1 is the uniform start; agreement then concentrates mass)\n")
 
 acts, cache = forward_batch(params, pixel, 3, keep_cache=True)
 coupling = cache.pieces[0].routing[-1][0][0]
-print(f"child capsules, one per row:\n{cache.pieces[0].window_caps[0, :, 0]}")
+print(f"child capsules, one per row:\n{cache.pieces[0].window_caps[:, 0]}")
 lengths = np.linalg.norm(acts[0], axis=-1)
 print(f"class capsule lengths after 3 iterations: {lengths}")
 print(f"predicted class: {int(np.argmax(lengths)) + 1}")

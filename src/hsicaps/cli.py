@@ -123,6 +123,9 @@ class _RunOnlySettings:
         if train + val >= 1:
             raise ValueError(f"train_fraction {train} and val_fraction {val} must sum below 1")
         check_float(self.whiten_epsilon, "whiten_epsilon", positive=True)
+        # a truthy string such as "no" would otherwise be written back as true
+        if not isinstance(self.whiten, (bool, np.bool_)):
+            raise ValueError(f"whiten must be a boolean, got {self.whiten!r}")
 
     def architecture(self, channels: int, num_classes: int) -> Architecture:
         return self._build(Architecture, channels=channels, num_classes=num_classes)

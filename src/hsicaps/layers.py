@@ -15,12 +15,14 @@ The spatial, primary and window layers are one private strided 1D
 convolution along the spectral axis, held sample-minor (maps, length, B), and
 are declared once, in ``_convolutions``: each one's kernels and bias as views
 of its parameters (or of their gradients), its stride and its input length.
-The forward pass runs that table in order, the backward pass in reverse,
-writing each gradient through the same views.  The routed class layer writes
-its prediction vectors once, as (B, children, classes, out_dim), and routes
-over blocks of children that its shape fixes: each routing iteration,
-forward and backward, is one pass over the blocks, doing all of that
-iteration's work on a block while it is in cache.  ``forward_batch`` and
+The forward pass runs that table in order, keeping each column matrix at
+training, the backward pass in reverse, writing each gradient through the
+same views.  The routed class layer takes the window capsules child-major,
+(children, B, dim), and returns their gradient so.  It writes its prediction
+vectors once, as (B, children, classes, out_dim), and routes over blocks of
+children that its shape fixes: each routing iteration, forward and backward,
+is one pass over the blocks, doing all of that iteration's work on a block
+while it is in cache.  ``forward_batch`` and
 ``backward_batch`` compose them and are the one public way into the layers.
 Both run a call as the one or two sample pieces that one cut rule gives, the
 second on one worker thread; the inference block size follows the same
@@ -305,8 +307,8 @@ def predict_classes(activations: np.ndarray) -> np.ndarray:
 # positions, B): a convolution copies one column matrix of contiguous sample
 # rows, for one product and the backward pass.  The spatial layer is its
 # kernel-1 case over the size*size patch pixels; the window layer convolves the
-# primary layer's arrays*dim maps.  The class layer reads its input as
-# sample-first capsules (B, positions, arrays, dim).
+# primary layer's arrays*dim maps, and its pre-activations are regrouped once
+# into the class layer's child-major capsules (children, B, dim).
 
 
 def _conv_forward(maps: np.ndarray, kernels: np.ndarray, bias: np.ndarray, stride: int):
@@ -324,13 +326,13 @@ def _conv_forward(maps: np.ndarray, kernels: np.ndarray, bias: np.ndarray, strid
 def _conv_backward(
     grad_pre: np.ndarray, columns: np.ndarray, kernels: np.ndarray, stride: int, length: int | None
 ):
-    """Adjoint of :func:`_conv_forward` at its ``columns`` (or at any
-    (in_maps*kernel, positions, B) array of them): gradients wrt (kernels,
-    bias, the (in_maps, length, B) input), the last None when ``length`` is.
+    """Adjoint of :func:`_conv_forward` at its ``columns``: gradients wrt
+    (kernels, bias, the (in_maps, length, B) input), the last None when
+    ``length`` is.
     The input gradient adds each kernel offset's column gradients into a
     strided run of positions, over contiguous rows of samples."""
     grad = grad_pre.reshape(len(grad_pre), -1)
-    grad_kernels = (columns.reshape(len(columns), -1) @ grad.T).T.reshape(kernels.shape)
+    grad_kernels = (columns @ grad.T).T.reshape(kernels.shape)
     grad_bias = grad.sum(axis=1)
     if length is None:
         return grad_kernels, grad_bias, None
@@ -342,6 +344,14 @@ def _conv_backward(
     for j in range(kernel):
         grad_input[:, j : j + span : stride] += grad_columns[:, j]
     return grad_kernels, grad_bias, grad_input
+
+
+def _capsules(pre: np.ndarray, arrays: int) -> np.ndarray:
+    """(arrays*dim, positions, B) window pre-activations as child-major
+    capsules (children, B, dim), child n = array * positions + position."""
+    _, positions, batch = pre.shape
+    dim = len(pre) // arrays
+    return pre.reshape(arrays, dim, positions, batch).transpose(0, 2, 3, 1).reshape(-1, batch, dim)
 
 
 def _window_kernels(tensors: np.ndarray) -> np.ndarray:
@@ -404,11 +414,6 @@ def _by_class(predictions: np.ndarray) -> np.ndarray:
     return predictions.transpose(0, 2, 1, 3)
 
 
-def _child_major(children: np.ndarray) -> np.ndarray:
-    """(B, positions, arrays, dim) child capsules as (children, B, dim)."""
-    return children.transpose(2, 1, 0, 3).reshape(-1, len(children), children.shape[-1])
-
-
 def _routing_softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the class axis of (B, classes, children) logits, written
     over them."""
@@ -433,10 +438,9 @@ def _agree(view: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def _class_forward(
     children: np.ndarray, matrices: np.ndarray, iterations: int, keep: bool
 ):
-    """(B, positions, arrays, dim) -> (predictions (B, children, classes,
-    out_dim), (parents, final coupling, final logits, each iteration's
-    (coupling, weighted sums, parents) when ``keep``)); child (array i,
-    position j) is ``children[:, j, i]``.
+    """(children, B, dim) child capsules -> (predictions (B, children,
+    classes, out_dim), (parents, final coupling, final logits, each
+    iteration's (coupling, weighted sums, parents) when ``keep``)).
 
     Logits start at zero, so the first iteration's coupling is uniform and
     its sums are taken as each block of predictions is written.  Each later
@@ -446,8 +450,8 @@ def _class_forward(
     """
     iterations = check_int(iterations, "routing_iters")
     arrays, positions, classes, out_dim, dim = matrices.shape
-    batch = len(children)
-    columns = np.ascontiguousarray(_child_major(children).transpose(0, 2, 1))
+    batch = children.shape[1]
+    columns = np.ascontiguousarray(children.transpose(0, 2, 1))
     flat = matrices.reshape(arrays * positions, -1, dim)
     predictions = np.empty((batch, arrays * positions, classes, out_dim))
     blocks = _child_blocks(matrices.shape)
@@ -490,7 +494,8 @@ def _class_backward(
     routing: list,
     matrices: np.ndarray,
 ):
-    """Gradients wrt (children, matrices) through the unrolled routing.
+    """Gradients wrt the (children, B, dim) child capsules and the matrices
+    through the unrolled routing.
 
     Walks the iterations in reverse, one pass over the blocks each: coupling
     gradient, softmax backward, the logit gradient carried from later
@@ -502,7 +507,7 @@ def _class_backward(
     child gradients at once.  The initial zero logits are constants.
     """
     arrays, positions, classes, out_dim, dim = matrices.shape
-    batch = len(children)
+    batch = children.shape[1]
     iterations = len(routing)
     blocks = _child_blocks(matrices.shape)
     # left holds coupling_t at t and the logit gradient of iteration t at
@@ -528,23 +533,19 @@ def _class_backward(
             grad += left[:, :, iterations + it, block]
             left[:, :, iterations + it - 1, block] = grad
             grad_parents += _weighted_sum(grad, view)
-    rows = _child_major(children)
     flat = matrices.reshape(arrays * positions, -1, dim)
     grad_matrices = np.empty_like(flat)
-    grad_rows = np.empty_like(rows)
+    grad_children = np.empty_like(children)
     buffer = np.empty((batch, blocks[0].stop, classes, out_dim))
     for block in blocks:
         grad_pred = buffer[:, : block.stop - block.start]
         np.matmul(
             left[:, :, :-1, block].transpose(0, 1, 3, 2), right, out=_by_class(grad_pred)
         )
-        grad_pred = grad_pred.reshape(batch, len(rows[block]), -1).transpose(1, 0, 2)
-        np.matmul(grad_pred.transpose(0, 2, 1), rows[block], out=grad_matrices[block])
-        np.matmul(grad_pred, flat[block], out=grad_rows[block])
-    return (
-        grad_rows.reshape(arrays, positions, batch, dim).transpose(2, 1, 0, 3),
-        grad_matrices.reshape(matrices.shape),
-    )
+        grad_pred = grad_pred.reshape(batch, len(flat[block]), -1).transpose(1, 0, 2)
+        np.matmul(grad_pred.transpose(0, 2, 1), children[block], out=grad_matrices[block])
+        np.matmul(grad_pred, flat[block], out=grad_children[block])
+    return grad_children, grad_matrices.reshape(matrices.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +595,12 @@ class _PieceCache(NamedTuple):
 
     ``convs`` holds, in :func:`_convolutions` order, each convolution's column
     matrix (in_maps*kernel, positions*B) and pre-activations (out_maps,
-    positions, B), sample-minor; the spatial layer's columns are the patches,
-    viewed in place as (size*size, channels, B).  ``window_caps`` is the last
-    pre-activations regrouped sample-first as (B, positions, out_arrays,
-    out_dim) and squashed, the class layer's input.  ``predictions`` is the
-    class layer's one prediction tensor, (B, children, classes, out_dim) with
-    child n = array * positions + position, and ``routing`` holds each
-    iteration's class-major (coupling, weighted sums, parents).
+    positions, B), sample-minor.  ``window_caps`` is the last pre-activations
+    regrouped child-major as (children, B, out_dim) and squashed, the class
+    layer's input, child n = array * positions + position.  ``predictions`` is
+    the class layer's one prediction tensor, (B, children, classes, out_dim),
+    and ``routing`` holds each iteration's class-major (coupling, weighted
+    sums, parents).
     """
 
     convs: list[tuple[np.ndarray, np.ndarray]]
@@ -662,18 +662,13 @@ def _forward_body(
 ) -> tuple[np.ndarray, _PieceCache | None]:
     """One piece of :func:`forward_batch`, on validated patches."""
     arch = params.arch
-    batch = len(patches)
-    pixels = patches.reshape(batch, -1, arch.channels).transpose(1, 2, 0)
+    pixels = patches.reshape(len(patches), -1, arch.channels).transpose(1, 2, 0)
     convs = []
     for i, (kernels, bias, stride, _) in enumerate(_convolutions(params)):
         columns, pre = _conv_forward(relu(pre) if i else pixels, kernels, bias, stride)
         if keep_cache:  # inference keeps no column matrix
-            convs.append((columns if i else pixels, pre))
-    window_caps = squash(
-        pre.transpose(2, 1, 0).reshape(
-            batch, arch.window_positions, arch.window_count, arch.window_capsule_dim
-        )
-    )
+            convs.append((columns, pre))
+    window_caps = squash(_capsules(pre, arch.window_count))
     predictions, (parents, _, _, routing_cache) = _class_forward(
         window_caps, params.class_matrices, routing_iters, keep_cache
     )
@@ -729,9 +724,10 @@ def _backward_body(
         name: grad_matrices if name == "class_matrices" else np.empty_like(arr)
         for name, arr in params.arrays()
     }
-    pre = cache.convs[-1][1]
-    grad_caps = squash_backward(grad_caps, pre.transpose(2, 1, 0).reshape(grad_caps.shape))
-    grad_pre = grad_caps.reshape(*grad_caps.shape[:2], -1).transpose(2, 1, 0)
+    arrays, pre = params.arch.window_count, cache.convs[-1][1]
+    grad_caps = squash_backward(grad_caps, _capsules(pre, arrays))
+    grad_caps = grad_caps.reshape(arrays, -1, *grad_caps.shape[1:])
+    grad_pre = grad_caps.transpose(0, 3, 1, 2).reshape(pre.shape)
     table, grad_views = _convolutions(params), _convolutions(params, grads)
     for i in reversed(range(len(table))):
         kernels, _, stride, length = table[i]

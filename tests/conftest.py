@@ -66,6 +66,14 @@ def shrink_row_chunks(rows, channels, monkeypatch):
     the calling thread and the worker."""
     monkeypatch.setattr(hsicaps.numerics, "_CHUNK_BYTES", rows * 8 * channels)
 
+
+def child_major(children):
+    """One sample's (positions, arrays, dim) capsules, as the oracles take
+    them, in the class layer's layout (children, 1, dim), child n = array *
+    positions + position."""
+    return children.transpose(1, 0, 2).reshape(-1, 1, children.shape[-1])
+
+
 # float32 bit patterns a corrupt container payload may hold; casting the
 # signalling NaN to float64 raises numpy's "invalid value" warning
 NON_FINITE_FLOAT32 = {

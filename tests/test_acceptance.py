@@ -35,6 +35,7 @@ from hsicaps.numerics import relu
 from hsicaps.training import TrainConfig, evaluate, run_gradient_check, train
 
 from conftest import (
+    child_major,
     nearest_centroid_accuracy,
     oracle_conv_caps,
     oracle_primary_caps,
@@ -132,11 +133,11 @@ def test_criterion_04_routing_invariants():
         children = rng.normal(size=(3, 2, 4))
         matrices = rng.normal(size=(2, 3, classes, 3, 4))
         # the first pass sees zero logits: coupling must be exactly uniform
-        _, (_, coupling, _, _) = _class_forward(children[None], matrices, 1, False)
+        _, (_, coupling, _, _) = _class_forward(child_major(children), matrices, 1, False)
         np.testing.assert_array_equal(coupling, np.full((1, classes, 6), 1.0 / classes))
         for iterations in (1, 2, 3):
             _, (acts, coupling, _, _) = _class_forward(
-                children[None], matrices, iterations, False
+                child_major(children), matrices, iterations, False
             )
             sums = coupling.sum(axis=1)
             assert np.abs(sums - 1.0).max() < 1e-10
@@ -154,7 +155,7 @@ def test_criterion_04_routing_invariants():
         # child (1, 0) picks the matrix column that holds the vector
         matrices = np.zeros((1, 1, 1, 2, 2))
         matrices[..., 0] = vector
-        children = np.array([1.0, 0.0]).reshape(1, 1, 1, 2)
+        children = np.array([1.0, 0.0]).reshape(1, 1, 2)
         predictions, (_, _, logits, cache) = _class_forward(children, matrices, 2, True)
         np.testing.assert_array_equal(predictions[0, 0, 0], vector)
         np.testing.assert_array_equal(
@@ -238,10 +239,10 @@ def test_criterion_05_brute_force_layer_equivalence(monkeypatch):
         children = rng.normal(size=(positions, arrays, dim))
         matrices = rng.normal(size=(arrays, positions, classes, out_dim, dim))
         assert matrices.size <= 200
-        routed = [_class_forward(children[None], matrices, iterations, False)[1]]
+        routed = [_class_forward(child_major(children), matrices, iterations, False)[1]]
         with monkeypatch.context() as patch:
             shrink_child_blocks(2, patch, classes, out_dim)
-            routed.append(_class_forward(children[None], matrices, iterations, False)[1])
+            routed.append(_class_forward(child_major(children), matrices, iterations, False)[1])
         want_acts, want_coupling, want_logits = oracle_routing(
             children, matrices, iterations
         )

@@ -5,6 +5,7 @@ import builtins
 import dataclasses
 import errno
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -114,6 +115,12 @@ class TestConfigFile:
             "# a run\n\nepochs = 7  # short\n   \nseed = 3\n"
         )
         assert (config.epochs, config.seed) == (7, 3)
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None, np.int64(1)], ids=repr)
+    def test_non_boolean_whiten_refused(self, value):
+        message = f"whiten must be a boolean, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(whiten=value)
 
     def test_boolean_words(self):
         assert parse_config("whiten = off").whiten is False

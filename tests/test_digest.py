@@ -7,8 +7,9 @@ from ``default_rng(4)``, routing depth 3, an upstream of ones.  It runs in a
 fresh interpreter with BLAS on one thread.  The bits depend on the BLAS build
 and on the kernel set OpenBLAS picks for the CPU, so there is one digest per
 kernel set, and the test skips unless the build and the kernel set match a
-record.  A change that alters the engine's arithmetic on purpose records the
-new digests here.
+record.  On a SkylakeX host a second run forces the Haswell kernels, in its
+own environment only, and checks that record too.  A change that alters the
+engine's arithmetic on purpose records the new digests here.
 """
 
 import os
@@ -21,10 +22,11 @@ import pytest
 # the build's configuration string, which names the kernel set it runs
 RECORDED_BUILD = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY {} MAX_THREADS=64"
 RECORDED_DIGESTS = {
-    "SkylakeX": "ae5e281a4f02033a9fa4036b79f880775ae66ef09a7e9f0c4862295189897a70",
+    "SkylakeX": "4824074583ed06c95153d56768ed0b9a36aba3c80c23929c9b69a006b67db18e",
     # Taken on a SkylakeX host with OPENBLAS_CORETYPE=Haswell (Zen reports
-    # Haswell too); not yet checked on real AVX2 or Zen hardware.
-    "Haswell": "564e7969babcaee2e4a627a472a38564a3d870985d2ddb90c87e0d519f69b45f",
+    # Haswell too), as the forced test runs it; not yet checked on real AVX2
+    # or Zen hardware.
+    "Haswell": "d00a7b7896bc1c17d006273fcb92a35ca8c5ca932bdb7c4eb4931a40199bd57a",
 }
 
 DIGEST_SCRIPT = """
@@ -54,8 +56,11 @@ print(digest.hexdigest())
 """
 
 
-def test_engine_digest_matches_the_record():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+def engine_digest(**environ):
+    """(BLAS core and configuration lines, digest) of the script run in a
+    fresh interpreter on one BLAS thread, with ``environ`` added to its
+    environment only."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", **environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -67,8 +72,33 @@ def test_engine_digest_matches_the_record():
     )
     assert result.returncode == 0, result.stderr
     *blas, digest = result.stdout.splitlines()
-    recorded = [[core, RECORDED_BUILD.format(core)] for core in RECORDED_DIGESTS]
+    return blas, digest
+
+
+def record(core):
+    return [core, RECORDED_BUILD.format(core)]
+
+
+@pytest.fixture(scope="module")
+def unforced():
+    return engine_digest()
+
+
+def test_engine_digest_matches_the_record(unforced):
+    blas, digest = unforced
+    recorded = [record(core) for core in RECORDED_DIGESTS]
     if blas not in recorded:
         # the digest in the message is what a new record for this kernel set takes
         pytest.skip(f"digests recorded under BLAS {recorded}, this one is {blas}, digest {digest}")
     assert digest == RECORDED_DIGESTS[blas[0]]
+
+
+def test_forced_haswell_digest_matches_the_record(unforced):
+    # a SkylakeX host runs the Haswell kernels too when told to, so there
+    # both records are checked and a re-record cannot miss one of them
+    blas, _ = unforced
+    if blas != record("SkylakeX"):
+        pytest.skip(f"the Haswell record is checked on SkylakeX hosts, this one is {blas}")
+    blas, digest = engine_digest(OPENBLAS_CORETYPE="Haswell")
+    assert blas == record("Haswell")
+    assert digest == RECORDED_DIGESTS["Haswell"]

@@ -48,6 +48,7 @@ from conftest import (
     DISTINCT_ARCHITECTURE,
     NON_FINITE_FLOAT32,
     UNSTORABLE_FLOAT64,
+    child_major,
     oracle_conv_caps,
     oracle_primary_caps,
     oracle_routing,
@@ -414,10 +415,14 @@ class TestConvCaps:
         params.window_bias[:] = [[3.0, 4.0, 0.0, 0.0], [0.0, -1.0, 2.0, 0.5]]
         _, cache = forward_batch(params, TestModelEngine.random_patches(2), keep_cache=True)
         window_caps = cache.pieces[0].window_caps
-        assert window_caps.shape == (2, MINIATURE_ARCHITECTURE.window_positions, 2, 4)
+        positions = MINIATURE_ARCHITECTURE.window_positions
+        assert window_caps.shape == (2 * positions, 2, 4)
         np.testing.assert_allclose(
             window_caps,
-            np.broadcast_to(squash(params.window_bias), window_caps.shape),
+            np.broadcast_to(
+                np.repeat(squash(params.window_bias), positions, axis=0)[:, None],
+                window_caps.shape,
+            ),
             atol=1e-15,
         )
 
@@ -468,7 +473,7 @@ class TestDynamicRouting:
 
     def test_one_iteration_coupling_is_uniform(self):
         children, matrices = random_routing_setup(0)
-        _, (_, coupling, logits, cache) = _class_forward(children[None], matrices, 1, True)
+        _, (_, coupling, logits, cache) = _class_forward(child_major(children), matrices, 1, True)
         np.testing.assert_array_equal(coupling, np.full((1, 3, 6), 1.0 / 3.0))
         np.testing.assert_array_equal(logits, np.zeros((1, 3, 6)))
         assert len(cache) == 1
@@ -476,7 +481,7 @@ class TestDynamicRouting:
     @pytest.mark.parametrize("iterations", [1, 2, 3, 4])
     def test_coupling_normalized_each_setting(self, iterations):
         children, matrices = random_routing_setup(1)
-        _, (_, coupling, _, _) = _class_forward(children[None], matrices, iterations, False)
+        _, (_, coupling, _, _) = _class_forward(child_major(children), matrices, iterations, False)
         np.testing.assert_allclose(coupling.sum(axis=1), 1.0, atol=1e-12)
         assert (coupling > 0).all()
 
@@ -485,7 +490,7 @@ class TestDynamicRouting:
             children, matrices = random_routing_setup(seed + 10)
             for iterations in (1, 2, 3):
                 _, (acts, coupling, logits, _) = _class_forward(
-                    children[None], matrices, iterations, False
+                    child_major(children), matrices, iterations, False
                 )
                 want_acts, want_coupling, want_logits = oracle_routing(
                     children, matrices, iterations
@@ -505,7 +510,7 @@ class TestDynamicRouting:
         children = np.ones((1, 1, 2))
         matrices = np.zeros((1, 1, 1, 2, 2))
         matrices[0, 0, 0] = [[3.0, 0.0], [0.0, 4.0]]  # prediction = (3, 4)
-        _, (_, coupling, logits, _) = _class_forward(children[None], matrices, 2, False)
+        _, (_, coupling, logits, _) = _class_forward(child_major(children), matrices, 2, False)
         prediction = np.array([3.0, 4.0])
         parent = prediction * (5.0 / 26.0)
         want = float(prediction @ parent)  # 125 / 26
@@ -520,13 +525,13 @@ class TestDynamicRouting:
         matrices = np.zeros((2, 3, 2, 2, 3))
         matrices[:, :, 0, 0, 0] = 4.0  # aligned on the first component
         matrices[:, :, 1] = rng.normal(0, 0.1, (2, 3, 2, 3))
-        _, (_, coupling, _, _) = _class_forward(np.abs(children)[None], matrices, 3, False)
+        _, (_, coupling, _, _) = _class_forward(child_major(np.abs(children)), matrices, 3, False)
         assert (coupling[:, 0] > 0.5).all()
 
     def test_validation(self):
         children, matrices = random_routing_setup(0)
         with pytest.raises(ValueError, match="routing_iters must be >= 1"):
-            _class_forward(children[None], matrices, 0, False)
+            _class_forward(child_major(children), matrices, 0, False)
         with pytest.raises(ValueError, match="routing_iters must be >= 1"):
             forward_batch(miniature_params(), TestModelEngine.random_patches(2), 0)
         with pytest.raises(ValueError, match="routing_iters must be an integer"):
@@ -609,7 +614,10 @@ class TestModelEngine:
                 )
                 acts, _, _ = oracle_routing(window, params.class_matrices, 3)
                 np.testing.assert_allclose(
-                    piece.window_caps[b], window, atol=1e-12, err_msg=str(arch)
+                    piece.window_caps[:, b],
+                    child_major(window)[:, 0],
+                    atol=1e-12,
+                    err_msg=str(arch),
                 )
                 np.testing.assert_allclose(
                     batch_acts[b], acts, atol=1e-12, err_msg=str(arch)
@@ -647,13 +655,13 @@ class TestModelEngine:
             backward_batch(params, cache, np.ones(shape))
 
     def test_inference_keeps_no_column_matrix(self):
-        # an uncached 48-sample call at 103/9 runs as two pieces on two
-        # threads, whose peaks overlap by chance; the bound is the traced peak
-        # of the maps-first engine, which held no column matrix, and keeping
-        # each convolution's column matrix at inference adds about 3 MiB
+        # an uncached 24-sample call at 103/9 runs as one piece on the calling
+        # thread, whose traced peak is 3.73 MiB; keeping each convolution's
+        # column matrix at inference raises it to 6.4 MiB
         arch = Architecture(channels=103, num_classes=9)
         params = init_params(arch, 0)
-        patches = self.random_patches(48, arch=arch)
+        patches = self.random_patches(24, arch=arch)
+        assert len(hsicaps.layers._pieces(arch, len(patches))) == 1
         forward_batch(params, patches)
         tracemalloc.start()
         try:
@@ -661,7 +669,7 @@ class TestModelEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7.8 * 2**20
+        assert peak <= 3.9 * 2**20
 
     def test_non_finite_gradient_names_its_family(self, monkeypatch):
         params = miniature_params()
@@ -838,7 +846,7 @@ class TestHalves:
             [(threading.current_thread().name, first), ("hsicaps-half_0", count - first)]
         )
         assert len(cache.patches) == count
-        assert [len(piece.window_caps) for piece in cache.pieces] == [first, count - first]
+        assert [piece.window_caps.shape[1] for piece in cache.pieces] == [first, count - first]
         assert np.array_equal(acts, whole_acts)
         assert loss == whole_loss
         for name, grad in grads.items():
