@@ -5,12 +5,14 @@ valid-padding convolutions (nothing pads implicitly: ``floor((length - kernel)
 / stride) + 1``), a central-difference checker for the hand-written backward
 passes, ``run_pieces``, which runs model pieces on the calling thread and the
 package's one worker thread, and ``row_chunks``, which runs preprocessing and
-each Adam update in 1 MiB row chunks on the two.  The package exports none of
-them: every caller is one of its own modules.
+each Adam update in 1 MiB row chunks on the two.  Importing it fixes glibc's
+malloc thresholds, which keeps a training step's temporaries off fresh pages.
+The package exports none of them: every caller is one of its own modules.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -142,6 +144,17 @@ def finite_difference_check(
     return report
 
 
+def _set_malloc_thresholds(open_libc: Callable = lambda: ctypes.CDLL(None)) -> None:
+    """Fix glibc's mmap threshold at 32 MiB, the ceiling of its dynamic one, and
+    its trim threshold at twice that (mallopt(3)); elsewhere, or if refused, nothing."""
+    try:
+        mallopt = getattr(open_libc(), "mallopt", None)
+    except (OSError, TypeError):  # Windows has no process-wide symbol table
+        return
+    if mallopt is not None and mallopt(-3, 32 * 2**20):  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
+
+
 # The one worker, whose thread starts on first use, runs a call's second
 # piece; numpy releases the GIL, so the pieces run on two cores.  One worker,
 # not a pool: each extra thread gets its own malloc arena.
@@ -153,6 +166,7 @@ def _reset_worker() -> None:
 
 _reset_worker()
 os.register_at_fork(after_in_child=_reset_worker)
+_set_malloc_thresholds()
 
 
 def run_pieces(body: Callable, piece_args: list[tuple]) -> list:

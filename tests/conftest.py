@@ -8,6 +8,10 @@ they can serve as an independent cross-check of the layer mathematics.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,20 @@ DISTINCT_ARCHITECTURE = Architecture(
     class_capsule_dim=4,
 )
 
+
+
+def run_fresh(script, **environ):
+    """Lines ``script`` prints in a fresh interpreter that imports this
+    checkout's hsicaps, with BLAS on one thread and ``environ`` added to its
+    environment only; a non-zero exit fails with its stderr."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", **environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
 
 
 def shrink_prediction_budget(samples, monkeypatch, arch=MINIATURE_ARCHITECTURE):

@@ -12,12 +12,9 @@ own environment only, and checks that record too.  A change that alters the
 engine's arithmetic on purpose records the new digests here.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
+
+from conftest import run_fresh
 
 # the build's configuration string, which names the kernel set it runs
 RECORDED_BUILD = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY {} MAX_THREADS=64"
@@ -60,18 +57,7 @@ def engine_digest(**environ):
     """(BLAS core and configuration lines, digest) of the script run in a
     fresh interpreter on one BLAS thread, with ``environ`` added to its
     environment only."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", **environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", DIGEST_SCRIPT],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    *blas, digest = result.stdout.splitlines()
+    *blas, digest = run_fresh(DIGEST_SCRIPT, **environ)
     return blas, digest
 
 
