@@ -211,13 +211,17 @@ def parse_config(text: str) -> RunConfig:
 
 
 def serialize_config(config: RunConfig, omit: tuple[str, ...] = ()) -> str:
-    """Render a RunConfig as ``key = value`` lines, except the keys in
-    ``omit``; parse_config inverts this."""
-    lines = [
-        f"{f.name} = {_CODECS[f.type][1](getattr(config, f.name))}"
-        for f in dataclasses.fields(RunConfig)
-        if f.name not in omit
-    ]
+    """Render a RunConfig as ``key = value`` lines, except the keys in ``omit``;
+    parse_config inverts this.  A value it would read back as another (one holding
+    ``#`` or a line break, or padded with whitespace) raises ValueError naming its key."""
+    lines = []
+    for f in dataclasses.fields(RunConfig):
+        if f.name in omit:
+            continue
+        text = _CODECS[f.type][1](getattr(config, f.name))
+        if text.split("#", 1)[0].strip() != text or len(text.splitlines()) > 1:
+            raise ValueError(f"{f.name}: {text!r} cannot be written as config text")
+        lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -345,13 +349,10 @@ def cmd_split(args: argparse.Namespace) -> int:
     cube = load_cube(args.cube)
     split = stratified_split(cube, (args.train_fraction, args.val_fraction), args.seed)
     print(f"{'class':>5}  {'train':>7}  {'val':>7}  {'test':>7}")
-    totals = [0, 0, 0]
     for cid, (n_train, n_val, n_test) in split.counts().items():
         print(f"{cid:>5}  {n_train:>7}  {n_val:>7}  {n_test:>7}")
-        totals[0] += n_train
-        totals[1] += n_val
-        totals[2] += n_test
-    print(f"{'total':>5}  {totals[0]:>7}  {totals[1]:>7}  {totals[2]:>7}")
+    n_train, n_val, n_test = (len(split.subset(name)[0]) for name in ("train", "val", "test"))
+    print(f"{'total':>5}  {n_train:>7}  {n_val:>7}  {n_test:>7}")
     if args.output:
         lines = ["subset\tclass\trow\tcol"]
         for subset in ("train", "val", "test"):

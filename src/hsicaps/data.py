@@ -2,11 +2,11 @@
 
 Covers the binary cube container, PCA whitening fitted on the full pixel
 population, mirror-extended spatial patch extraction, seeded per-class
-stratified splits, and a synthetic labeled cube for tests and demos.  It
-also holds ``atomic_writes``, the temp-file-then-rename writer through which
-every file the package writes goes, ``float32_payload``, which both binary
-containers store their values through, and ``check_coords``, the one rule
-for pixel coordinates; these three are not exported.
+stratified splits held as their three subsets, and a synthetic labeled cube
+for tests and demos.  It also holds ``atomic_writes``, the temp-file-then-rename
+writer through which every file the package writes goes, ``float32_payload``,
+which both binary containers store their values through, and ``check_coords``,
+the one rule for pixel coordinates; these three are not exported.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import struct
 import warnings
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -392,46 +392,25 @@ def extract_patches(cube: HsiCube, coords: np.ndarray, size: int) -> np.ndarray:
     return cube.values[rows[:, :, None], cols[:, None, :], :]
 
 
-@dataclass
-class ClassSplit:
-    """Row/col coordinate arrays of one class's train/val/test pixels."""
-
-    train: np.ndarray
-    val: np.ndarray
-    test: np.ndarray
-
-
-@dataclass
+@dataclass(frozen=True)
 class SplitAssignment:
-    """Per-class disjoint train/val/test pixel assignment.
+    """A disjoint train/val/test assignment of labeled pixels.  Each subset is a
+    read-only pair, its (M, 2) int64 row/col coordinates and their (M,) int64
+    class ids, classes in ascending order and each class's pixels in seeded order."""
 
-    ``skipped`` records class ids in range that had no labeled pixels.
-    """
-
-    classes: dict[int, ClassSplit]
-    fractions: tuple[float, float]
-    seed: int
-    skipped: list[int] = field(default_factory=list)
+    train: tuple[np.ndarray, np.ndarray]
+    val: tuple[np.ndarray, np.ndarray]
+    test: tuple[np.ndarray, np.ndarray]
 
     def counts(self) -> dict[int, tuple[int, int, int]]:
         """Per-class (train, val, test) sizes, ascending class id."""
-        return {
-            cid: (len(s.train), len(s.val), len(s.test))
-            for cid, s in sorted(self.classes.items())
-        }
+        ids = [labels for _, labels in (self.train, self.val, self.test)]
+        classes = np.unique(np.concatenate(ids))
+        return {int(c): tuple(int((part == c).sum()) for part in ids) for c in classes}
 
     def subset(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """All coordinates of one subset concatenated in ascending class
-        order, with their class ids: ((M, 2) coords, (M,) labels)."""
-        coord_parts: list[np.ndarray] = []
-        label_parts: list[np.ndarray] = []
-        for cid, split in sorted(self.classes.items()):
-            part = getattr(split, name)
-            coord_parts.append(part)
-            label_parts.append(np.full(len(part), cid, dtype=np.int64))
-        if not coord_parts:
-            return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
-        return np.concatenate(coord_parts), np.concatenate(label_parts)
+        """The ``"train"``, ``"val"`` or ``"test"`` pair: ((M, 2) coords, (M,) labels)."""
+        return {"train": self.train, "val": self.val, "test": self.test}[name]
 
 
 def stratified_split(
@@ -443,36 +422,42 @@ def stratified_split(
     training and ``floor(m * fractions[1])`` for validation; the remainder is
     test.  Membership is a seeded permutation, so the same seed reproduces the
     same assignment and different seeds change membership but never the
-    counts.  A class id in range with zero labeled pixels is skipped and
-    recorded in ``skipped``.
+    counts.  A class id in range with zero labeled pixels is skipped with a
+    warning.
     """
     if not isinstance(fractions, (tuple, list)) or len(fractions) != 2:
         raise ValueError(f"fractions must be a (train, val) pair, got {fractions!r}")
     train_frac, val_frac = (check_float(f, "fractions", 1, positive=True) for f in fractions)
     if train_frac + val_frac >= 1:
         raise ValueError(f"fractions must sum to less than 1, got {fractions}")
-    seed = check_seed(seed)
-    rng = np.random.default_rng(seed)
-    classes: dict[int, ClassSplit] = {}
-    skipped: list[int] = []
-    for cid in range(1, cube.num_classes() + 1):
-        coords = cube.labeled_coords(cid)
-        m = len(coords)
+    rng = np.random.default_rng(check_seed(seed))
+    labels = cube.labels.reshape(-1)
+    # pixel indices by class, each in scan order (numpy radix-sorts u16, which holds any label)
+    pixels = np.argsort(labels.astype(np.uint16), kind="stable")
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    parts: list[list[np.ndarray]] = [[np.zeros(0, dtype=np.int64)] for _ in range(3)]
+    for cid in range(1, len(ends)):
+        m = ends[cid] - ends[cid - 1]
         if m == 0:
-            skipped.append(cid)
             warnings.warn(f"class {cid} has no labeled pixels; skipped", stacklevel=2)
             continue
         # the + 1e-9 guards against the float products of nominal fractions
         # like 0.2 landing a hair below an exact integer
         n_train = int(m * train_frac + 1e-9)
         n_val = int(m * val_frac + 1e-9)
-        shuffled = coords[rng.permutation(m)]
-        classes[cid] = ClassSplit(
-            train=shuffled[:n_train],
-            val=shuffled[n_train : n_train + n_val],
-            test=shuffled[n_train + n_val :],
-        )
-    return SplitAssignment(classes, (train_frac, val_frac), seed, skipped)
+        shuffled = pixels[ends[cid - 1] : ends[cid]][rng.permutation(m)]
+        cuts = (0, n_train, n_train + n_val, m)
+        for part, start, stop in zip(parts, cuts, cuts[1:]):
+            part.append(shuffled[start:stop])
+
+    def labeled(pieces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        index = np.concatenate(pieces)
+        coords = np.stack(np.divmod(index, cube.width), axis=1)
+        ids = labels[index].astype(np.int64)
+        coords.flags.writeable = ids.flags.writeable = False
+        return coords, ids
+
+    return SplitAssignment(*map(labeled, parts))
 
 
 def make_synthetic_cube(

@@ -4,10 +4,10 @@ The ReLU pair, the integer, float and seed rules, the output-length law of
 valid-padding convolutions (nothing pads implicitly: ``floor((length - kernel)
 / stride) + 1``), a central-difference checker for the hand-written backward
 passes, ``run_pieces``, which runs model pieces on the calling thread and the
-package's one worker thread, and ``row_chunks``, which runs preprocessing and
-each Adam update in 1 MiB row chunks on the two.  Importing it fixes glibc's
-malloc thresholds, which keeps a training step's temporaries off fresh pages.
-The package exports none of them: every caller is one of its own modules.
+package's one worker thread, and ``row_chunks``, which runs preprocessing in
+1 MiB row chunks on the two.  Importing it fixes glibc's malloc thresholds,
+which keeps a training step's temporaries off fresh pages.  The package
+exports none of them: every caller is one of its own modules.
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ def finite_difference_check(
 ) -> GradCheckReport:
     """Compare an analytic gradient against central differences, coordinate by coordinate.
 
-    ``params`` is perturbed in place one coordinate at a time (and restored),
-    with ``f`` re-evaluated at ``params +/- epsilon * e_i``; ``f`` must read the
-    array it is handed rather than a private copy.  The relative error at each
-    coordinate is ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-12)``.
+    ``params`` is perturbed in place one coordinate at a time (and restored, also
+    if ``f`` raises), with ``f`` re-evaluated at ``params +/- epsilon * e_i``; ``f``
+    must read the array it is handed rather than a private copy.  The relative
+    error at each coordinate is ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-12)``.
 
     Raises:
         FloatingPointError: if ``f`` returns a non-finite value at any
@@ -127,11 +127,13 @@ def finite_difference_check(
     )
     for i in range(flat_params.size):
         original = flat_params[i]
-        flat_params[i] = original + epsilon
-        f_plus = float(f(params))
-        flat_params[i] = original - epsilon
-        f_minus = float(f(params))
-        flat_params[i] = original
+        try:
+            flat_params[i] = original + epsilon
+            f_plus = float(f(params))
+            flat_params[i] = original - epsilon
+            f_minus = float(f(params))
+        finally:
+            flat_params[i] = original
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise FloatingPointError(
                 f"non-finite value from f at perturbed coordinate {i}"

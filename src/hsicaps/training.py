@@ -10,7 +10,6 @@ run bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .layers import (
     predict_classes,
 )
 from .metrics import ConfusionMatrix, margin_loss_batch
-from .numerics import GradCheckReport, check_float, check_int, check_seed, row_chunks
+from .numerics import GradCheckReport, check_float, check_int, check_seed
 from .numerics import finite_difference_check
 
 __all__ = [
@@ -105,15 +104,13 @@ def adam_step(
 
     A zero gradient with fresh state leaves the parameters untouched.  A
     second moment or an update that is not finite raises FloatingPointError
-    naming its array.  Each array is updated in ``row_chunks`` of its (-1, last
-    axis) view, no copy as ``ModelParams`` holds C-contiguous arrays; the update
-    is elementwise, so the cut changes no bit.
+    naming its array.
     """
     beta1, beta2 = config.adam_beta1, config.adam_beta2
     state.step += 1
     bias1, bias2 = 1.0 - beta1**state.step, 1.0 - beta2**state.step
-
-    def update_rows(name: str, arr, grad, m, v) -> None:
+    for name, arr in params.arrays():
+        grad, m, v = grads[name], state.first_moment[name], state.second_moment[name]
         m *= beta1
         m += (1.0 - beta1) * grad
         v *= beta2
@@ -124,10 +121,6 @@ def adam_step(
         if not (np.isfinite(update).all() and np.isfinite(v).all()):
             raise FloatingPointError(f"non-finite Adam update for {name}")
         arr -= update
-
-    for name, arr in params.arrays():
-        arrays = (arr, grads[name], state.first_moment[name], state.second_moment[name])
-        row_chunks(partial(update_rows, name), *(a.reshape(-1, arr.shape[-1]) for a in arrays))
     return params, state
 
 

@@ -103,6 +103,15 @@ class TestConfigFile:
         with pytest.raises(TypeError):
             serialize_config(RunConfig(epochs=2.5))
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("cube", "runs/a#1.hsic"), ("output_dir", " runs/out"), ("cube", "a\nb.hsic")],
+        ids=["hash", "leading-space", "line-break"],
+    )
+    def test_value_that_would_read_back_differently_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            serialize_config(RunConfig(**{key: value}))
+
     def test_every_field_has_a_codec(self):
         fields = dataclasses.fields(RunConfig)
         assert [(f.name, f.type) for f in fields if f.type not in _CODECS] == []

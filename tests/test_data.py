@@ -530,29 +530,30 @@ class TestStratifiedSplit:
     def test_partition_is_exact(self):
         cube = self.labeled_cube({1: 37, 2: 12})
         split = stratified_split(cube, (0.2, 0.1), seed=3)
+        parts = [split.subset(name) for name in ("train", "val", "test")]
         for cid in (1, 2):
-            parts = split.classes[cid]
-            combined = np.concatenate([parts.train, parts.val, parts.test])
-            combined = set(map(tuple, combined.tolist()))
+            mine = [coords[labels == cid] for coords, labels in parts]
+            combined = set(map(tuple, np.concatenate(mine).tolist()))
             want = set(map(tuple, cube.labeled_coords(cid).tolist()))
             assert combined == want
-            assert len(parts.train) + len(parts.val) + len(parts.test) == len(want)
+            assert sum(map(len, mine)) == len(want)
 
     def test_same_seed_reproduces(self):
         cube = self.labeled_cube({1: 30, 2: 25})
         a = stratified_split(cube, (0.2, 0.1), seed=7)
         b = stratified_split(cube, (0.2, 0.1), seed=7)
-        for cid in (1, 2):
-            np.testing.assert_array_equal(a.classes[cid].train, b.classes[cid].train)
-            np.testing.assert_array_equal(a.classes[cid].val, b.classes[cid].val)
+        for name in ("train", "val"):
+            for got, want in zip(a.subset(name), b.subset(name)):
+                np.testing.assert_array_equal(got, want)
 
     def test_seed_changes_membership_not_counts(self):
         cube = self.labeled_cube({1: 40, 2: 33})
         a = stratified_split(cube, (0.2, 0.1), seed=0)
         b = stratified_split(cube, (0.2, 0.1), seed=1)
         assert a.counts() == b.counts()
+        (a_coords, a_labels), (b_coords, b_labels) = a.subset("train"), b.subset("train")
         different = any(
-            not np.array_equal(a.classes[cid].train, b.classes[cid].train)
+            not np.array_equal(a_coords[a_labels == cid], b_coords[b_labels == cid])
             for cid in (1, 2)
         )
         assert different
@@ -565,14 +566,15 @@ class TestStratifiedSplit:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             split = stratified_split(cube, (0.2, 0.1), seed=0)
-        assert split.skipped == [2]
-        assert any("class 2" in str(w.message) for w in caught)
-        assert sorted(split.classes) == [1, 3]
+        assert [str(w.message) for w in caught] == ["class 2 has no labeled pixels; skipped"]
+        assert sorted(split.counts()) == [1, 3]
 
     def test_unlabeled_cube_gives_empty_subsets(self):
         cube = HsiCube(np.zeros((3, 4, 1)), np.zeros((3, 4)))
-        split = stratified_split(cube, (0.2, 0.1), seed=0)
-        assert split.classes == {} and split.skipped == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split = stratified_split(cube, (0.2, 0.1), seed=0)
+        assert split.counts() == {}
         for name in ("train", "val", "test"):
             coords, labels = split.subset(name)
             assert coords.shape == (0, 2) and labels.shape == (0,)
@@ -603,7 +605,6 @@ class TestStratifiedSplit:
     def test_numpy_integer_seed_matches_int(self):
         cube = self.labeled_cube({1: 10, 2: 12})
         split = stratified_split(cube, (0.2, 0.1), np.uint64(7))
-        assert type(split.seed) is int
         for part in ("train", "val", "test"):
             for got, want in zip(
                 split.subset(part), stratified_split(cube, (0.2, 0.1), 7).subset(part)
@@ -616,6 +617,7 @@ class TestStratifiedSplit:
         coords, labels = split.subset("train")
         assert labels.tolist() == sorted(labels.tolist())
         assert len(coords) == len(labels) == 4
+        assert not coords.flags.writeable and not labels.flags.writeable
 
 
 class TestSyntheticCube:

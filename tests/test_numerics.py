@@ -195,6 +195,17 @@ class TestFiniteDifferenceCheck:
         report = finite_difference_check(f, flat, grad.reshape(-1), epsilon=1e-6)
         assert report.max_relative_error < 1e-6
 
+    def test_coordinate_restored_when_f_raises(self):
+        def f(p):
+            if p[0] > 0:
+                raise RuntimeError("f failed")
+            return 0.0
+
+        params = np.zeros(3)
+        with pytest.raises(RuntimeError, match="f failed"):
+            finite_difference_check(f, params, np.zeros(3))
+        np.testing.assert_array_equal(params, np.zeros(3))
+
     def test_non_finite_function_raises(self):
         def f(p):
             return float("nan")

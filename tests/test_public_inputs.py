@@ -24,7 +24,7 @@ CUBE = data.make_synthetic_cube(8, 8, ARCH.channels, ARCH.num_classes, seed=0)
 PARAMS = layers.init_params(ARCH, 0)
 PATCHES = np.zeros((2, ARCH.patch_size, ARCH.patch_size, ARCH.channels))
 CACHE = layers.forward_batch(PARAMS, PATCHES, keep_cache=True)[1]
-EMPTY_SPLIT = data.SplitAssignment({}, (0.3, 0.3), 0)
+EMPTY_SPLIT = data.SplitAssignment(*[(np.zeros((0, 2), int), np.zeros(0, int))] * 3)
 MARGINS = training.TrainConfig()
 NAN = float("nan")
 

@@ -12,7 +12,6 @@ import hsicaps.layers
 import hsicaps.numerics
 import hsicaps.training
 from hsicaps.data import (
-    ClassSplit,
     HsiCube,
     SplitAssignment,
     extract_patches,
@@ -206,7 +205,6 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match="class_matrices"):
             adam_step(params, grads, AdamState.for_params(params), at_rate(0.01))
 
-
     @staticmethod
     def count_pieces(monkeypatch):
         run_pieces, calls = hsicaps.numerics.run_pieces, []
@@ -219,9 +217,9 @@ class TestAdam:
         return calls
 
     def test_split_update_matches_one_thread_arithmetic(self, monkeypatch):
-        # at 200 channels / 16 classes class_matrices is three 1 MiB row
-        # chunks, which this thread and the worker share; every other array
-        # is one chunk, updated on this thread
+        # every array is updated whole on this thread, even at 200 channels /
+        # 16 classes: the worker is never asked, and the parameters equal the
+        # one-thread formulas byte for byte
         params = init_params(Architecture(channels=200, num_classes=16), 0)
         expected = {name: arr.copy() for name, arr in params.arrays()}
         m = {name: np.zeros_like(arr) for name, arr in params.arrays()}
@@ -238,13 +236,13 @@ class TestAdam:
                 expected[name] -= (
                     0.01 * (m[name] / (1.0 - 0.9**t)) / (np.sqrt(v[name] / (1.0 - 0.999**t)) + 1e-8)
                 )
-        assert calls == [2] * 5
+        assert calls == []
         for name, arr in params.arrays():
             assert arr.tobytes() == expected[name].tobytes(), name
 
     def test_small_model_updates_on_one_thread(self, monkeypatch):
-        # at 103 channels / 9 classes and below every array is one chunk,
-        # which runs without the worker
+        # at 103 channels / 9 classes and below the update runs without the
+        # worker
         calls = self.count_pieces(monkeypatch)
         for arch in (MINIATURE_ARCHITECTURE, Architecture(channels=103, num_classes=9)):
             params = init_params(arch, 7)
@@ -253,8 +251,7 @@ class TestAdam:
         assert calls == []
 
     def test_fortran_ordered_array_receives_its_update(self):
-        # the update goes through a reshaped view, which would be a copy of a
-        # Fortran-ordered array; ModelParams stores a C-ordered one instead
+        # the update lands in the array itself whatever its memory order
         params = miniature_params(8)
         params = dataclasses.replace(
             params, class_matrices=np.asfortranarray(params.class_matrices)
@@ -264,9 +261,8 @@ class TestAdam:
         assert (params.class_matrices != before).all()
 
     @pytest.mark.parametrize("name", ["spatial_kernels", "class_matrices"])
-    def test_overflow_in_either_piece_raises(self, name):
-        # the last class_matrices value lies in its third row chunk, which
-        # either thread may take
+    def test_overflow_names_its_array(self, name):
+        # the last value of the first and of the largest array
         params = init_params(Architecture(channels=200, num_classes=16), 0)
         grads = constant_grads(params, 1.0)
         grads[name].reshape(-1)[-1] = 1e160
@@ -477,12 +473,9 @@ class TestTrain:
         assert "margin loss" in str(info.value.__cause__)
 
     def test_empty_subset_rejected(self, toy_cube):
-        coords = np.array([[0, 0], [1, 1]])
-        split = SplitAssignment(
-            {1: ClassSplit(coords, np.zeros((0, 2), dtype=int), coords)},
-            (0.2, 0.1),
-            0,
-        )
+        coords, labels = np.array([[0, 0], [1, 1]]), np.array([1, 1])
+        no_pixels = (np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int))
+        split = SplitAssignment((coords, labels), no_pixels, (coords, labels))
         with pytest.raises(ValueError):
             train(toy_cube, split, TOY_CONFIG)
 
@@ -506,11 +499,13 @@ class TestTrain:
         labels[coords[:, 0], coords[:, 1]] = assigned
         cube = HsiCube(values, labels)
 
-        classes = {}
-        for cid in (1, 2, 3):
-            mine = coords[assigned == cid]
-            classes[cid] = ClassSplit(mine, mine[:1], mine[:1])
-        split = SplitAssignment(classes, (0.2, 0.1), 0)
+        order = np.argsort(assigned, kind="stable")  # class by class, each in coords order
+        firsts = [np.flatnonzero(assigned == cid)[0] for cid in (1, 2, 3)]
+        split = SplitAssignment(
+            (coords[order], assigned[order]),
+            (coords[firsts], assigned[firsts]),
+            (coords[firsts], assigned[firsts]),
+        )
 
         config = TrainConfig(epochs=60, batch_size=8, seed=0)
         _, record = train(
